@@ -2,7 +2,6 @@
 measurement: exact small-Hilbert-space dynamics, post-selection, and
 coupling-parameter optimization."""
 
-from ._kernels import NUMBA_ENABLED
 from .dynamics import EvolutionTrace, amplitudes, evolve, probabilities, trace
 from .linalg import EigenSystem, apply, hermitian_eig, propagator, propagator_oracle
 from .measurement import MeasurementOutcome, fidelity, postselect
@@ -57,3 +56,6 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# No compiled kernels exist; kept because perfbench/worker.py records it.
+NUMBA_ENABLED = False

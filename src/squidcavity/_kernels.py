@@ -1,151 +1,29 @@
-"""Hot numeric kernels, numba-jitted when available.
+"""Closed-form evaluation of the symmetric-sector amplitudes on time grids.
 
-Set SQUIDCAVITY_DISABLE_JIT=1 to force the pure-numpy fallback path
-(used by the benchmark and by CI environments without a working numba).
+The dark state's dynamics has two frequencies E1, E3 (see
+``dynamics.sector_modes``).  With real mode weights ``w`` (rows F1..F4,
+columns cos E1 t, cos E3 t, sin E1 t, sin E3 t) the amplitudes are
+
+    F1 = a1,  F2 = -i a2,  F3 = a3,  F4 = -i a4,   a = w @ [cos(e t); sin(e t)],
+
+so every probability is the square of a real two-term series.
 """
-
-import os
 
 import numpy as np
 
-_DISABLE = os.environ.get("SQUIDCAVITY_DISABLE_JIT", "").strip().lower() in (
-    "1", "true", "yes", "on",
-)
 
-try:
-    if _DISABLE:
-        raise ImportError("jit disabled by SQUIDCAVITY_DISABLE_JIT")
-    from numba import njit
+def mode_amplitudes(w, e, times):
+    """Real amplitude rows a1..a4 (see the module docstring) at ``times``.
 
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-def _jacobi_cyclic_py(a, v, tol, max_sweeps):
-    """Cyclic Jacobi rotations on a complex Hermitian matrix, in place.
-
-    ``a`` is driven to diagonal form and ``v`` accumulates the unitary
-    (columns become eigenvectors).  Returns the number of sweeps used,
-    or -1 if the off-diagonal norm did not fall below ``tol``.
+    ``times`` may be a scalar or a 1-d array; the result has shape
+    ``(4,) + shape(times)``.
     """
-    n = a.shape[0]
-    skip = tol / (2.0 * n)
-    for sweep in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off += a[p, q].real ** 2 + a[p, q].imag ** 2
-        if np.sqrt(2.0 * off) <= tol:
-            return sweep
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= skip:
-                    continue
-                app = a[p, p].real
-                aqq = a[q, q].real
-                tau = (aqq - app) / (2.0 * r)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                alpha = apq / r
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * np.conj(alpha) * col_q
-                a[:, q] = s * alpha * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * alpha * row_q
-                a[q, :] = s * np.conj(alpha) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = complex(a[p, p].real, 0.0)
-                a[q, q] = complex(a[q, q].real, 0.0)
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * np.conj(alpha) * vec_q
-                v[:, q] = s * alpha * vec_p + c * vec_q
-    # final check: the last sweep may have finished the job
-    off = 0.0
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            off += a[p, q].real ** 2 + a[p, q].imag ** 2
-    if np.sqrt(2.0 * off) <= tol:
-        return max_sweeps
-    return -1
+    ph = np.multiply.outer(e, times)
+    return w @ np.concatenate((np.cos(ph), np.sin(ph)))
 
 
-def _scan_probs_loop_py(w, lam, times, p1, p2, p3, p4):
-    """Populate P1..P4 along a time grid.
-
-    ``w[row, k]`` are mode weights such that the row amplitude at time t is
-    sum_k w[row, k] exp(-i lam_k t); rows are ordered (F1, F2, F4, F3).
-    """
-    n_t = times.shape[0]
-    m = lam.shape[0]
-    for i in range(n_t):
-        t = times[i]
-        f1 = 0.0 + 0.0j
-        f2 = 0.0 + 0.0j
-        f4 = 0.0 + 0.0j
-        f3 = 0.0 + 0.0j
-        for k in range(m):
-            ph = np.exp(-1j * lam[k] * t)
-            f1 += w[0, k] * ph
-            f2 += w[1, k] * ph
-            f4 += w[2, k] * ph
-            f3 += w[3, k] * ph
-        p1[i] = f1.real ** 2 + f1.imag ** 2
-        p2[i] = f2.real ** 2 + f2.imag ** 2
-        p3[i] = f3.real ** 2 + f3.imag ** 2
-        p4[i] = f4.real ** 2 + f4.imag ** 2
-
-
-if NUMBA_ENABLED:
-    _jacobi_cyclic_jit = njit(cache=True)(_jacobi_cyclic_py)
-    _scan_probs_loop_jit = njit(cache=True)(_scan_probs_loop_py)
-else:
-    _jacobi_cyclic_jit = None
-    _scan_probs_loop_jit = None
-
-
-def jacobi_cyclic(a, v, tol, max_sweeps):
-    """Dispatch to the jitted or fallback Jacobi driver."""
-    if NUMBA_ENABLED:
-        return _jacobi_cyclic_jit(a, v, tol, max_sweeps)
-    return _jacobi_cyclic_py(a, v, tol, max_sweeps)
-
-
-def scan_probs_numpy(w, lam, times):
-    """Vectorized fallback for the time-grid probability scan."""
-    phases = np.exp(-1j * np.outer(lam, times))
-    rows = w @ phases
-    p = np.abs(rows) ** 2
-    return p[0], p[1], p[3], p[2]
-
-
-def scan_probs(w, lam, times):
-    """P1, P2, P3, P4 along ``times`` for mode weights ``w`` (rows F1,F2,F4,F3)."""
-    if not NUMBA_ENABLED:
-        return scan_probs_numpy(w, lam, times)
-    n_t = times.shape[0]
-    p1 = np.empty(n_t)
-    p2 = np.empty(n_t)
-    p3 = np.empty(n_t)
-    p4 = np.empty(n_t)
-    _scan_probs_loop_jit(w, lam, times, p1, p2, p3, p4)
-    return p1, p2, p3, p4
+def scan_probs(w, e, times):
+    """P1, P2, P3, P4 along ``times`` for mode weights ``w`` and frequencies ``e``."""
+    a = mode_amplitudes(w, e, times)
+    a *= a
+    return a[0], a[1], a[2], a[3]

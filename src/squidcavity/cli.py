@@ -191,11 +191,11 @@ def _banner():
 
 def _cmd_eig(ns):
     p = _resolve_params(ns)
-    _banner()
     try:
         analytic = analytic_eigenvalues(p)
     except ValueError as exc:
         raise CliError(str(exc))
+    _banner()
     numeric = spectrum(p)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -216,7 +216,10 @@ def _cmd_evolve(ns):
     p = _resolve_params(ns)
     if ns.t is None:
         raise CliError("--t is required for evolve")
-    psi = evolve(p, ns.t)
+    try:
+        psi = evolve(p, ns.t)
+    except ValueError as exc:
+        raise CliError(str(exc))
     probs = probabilities(amplitudes(psi))
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -278,11 +281,11 @@ def _cmd_optimize(ns):
     t_max = ns.t_max if ns.t_max is not None else DEFAULT_T_MAX
     exps = ns.threshold_exp or [6]
     j = int(exps[0])
-    _banner()
     try:
         res = find_t0(p, 10.0 ** (-j), t_max=t_max)
     except ValueError as exc:
         raise CliError(str(exc))
+    _banner()
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "optimize",
@@ -378,8 +381,11 @@ def _cmd_fig4(ns):
         triples = [(ns.g, ns.gprime if ns.gprime is not None else 0.0)]
     else:
         triples = list(PAPER_TRIPLES)
-    params = [CouplingParams.symmetric(g, gp) for g, gp in triples]
-    bundles = emit_fig4_traces(params, t_max=t_max, n_steps=n_steps, threshold=threshold)
+    try:
+        params = [CouplingParams.symmetric(g, gp) for g, gp in triples]
+        bundles = emit_fig4_traces(params, t_max=t_max, n_steps=n_steps, threshold=threshold)
+    except ValueError as exc:
+        raise CliError(str(exc))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "fig4",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .dynamics import DEFAULT_N_STEPS, DEFAULT_T_MAX, sector_modes, trace
+from .dynamics import DEFAULT_N_STEPS, DEFAULT_T_MAX, _check_t_max, sector_modes, trace
 
 SCAN_STEP_BASE = 0.01
 REFINE_DT = 1e-6
@@ -62,20 +62,20 @@ class Fig4Trace:
     dev_pi_over_2gprime: float
 
 
-def _probs(w, lam, ts):
-    return _kernels.scan_probs(w, lam, np.ascontiguousarray(ts, dtype=np.float64))
+def _probs(w, e, ts):
+    return _kernels.scan_probs(w, e, np.ascontiguousarray(ts, dtype=np.float64))
 
 
 def _scan(p, t_max):
     """Dense deterministic scan; returns everything refinement needs."""
-    w, lam = sector_modes(p)
+    w, e = sector_modes(p)
     step = SCAN_STEP_BASE / max(1.0, p.g1, p.g_prime)
     n = int(np.ceil(t_max / step))
     times = np.linspace(t_max / n, t_max, n)
-    p1, p2, p3, p4 = _probs(w, lam, times)
+    p1, p2, p3, p4 = _probs(w, e, times)
     return {
         "w": w,
-        "lam": lam,
+        "e": e,
         "step": t_max / n,
         "times": times,
         "r": p1 + p2,
@@ -99,13 +99,13 @@ def _refine_dips(data, t_max):
     idx = np.array(idx)
     lo = np.where(idx > 0, times[np.maximum(idx - 1, 0)], _T_FLOOR)
     hi = np.where(idx < n - 1, times[np.minimum(idx + 1, n - 1)], t_max)
-    w, lam = data["w"], data["lam"]
+    w, e = data["w"], data["e"]
     for _ in range(70):
         x1 = hi - _GOLDEN * (hi - lo)
         x2 = lo + _GOLDEN * (hi - lo)
-        q1, q2, _, _ = _probs(w, lam, x1)
+        q1, q2, _, _ = _probs(w, e, x1)
         r1 = q1 + q2
-        q1, q2, _, _ = _probs(w, lam, x2)
+        q1, q2, _, _ = _probs(w, e, x2)
         r2 = q1 + q2
         left = r1 < r2
         hi = np.where(left, x2, hi)
@@ -113,24 +113,24 @@ def _refine_dips(data, t_max):
         if np.max(hi - lo) < 1e-12:
             break
     t_ref = 0.5 * (lo + hi)
-    q1, q2, _, _ = _probs(w, lam, t_ref)
+    q1, q2, _, _ = _probs(w, e, t_ref)
     return t_ref, q1 + q2
 
 
 def _hill_climb(data, cand, threshold, t_max):
     """Maximize P3 subject to P1+P2 <= threshold, step-halving to 1e-6."""
-    w, lam = data["w"], data["lam"]
+    w, e = data["w"], data["e"]
     cur = cand.copy()
     h = np.full(cur.shape, data["step"])
-    q1, q2, p3c, _ = _probs(w, lam, cur)
+    q1, q2, p3c, _ = _probs(w, e, cur)
     best = p3c
     for _ in range(400):
         if np.all(h <= REFINE_DT):
             break
         left = np.clip(cur - h, _T_FLOOR, t_max)
         right = np.clip(cur + h, _T_FLOOR, t_max)
-        l1, l2, p3l, _ = _probs(w, lam, left)
-        r1, r2, p3r, _ = _probs(w, lam, right)
+        l1, l2, p3l, _ = _probs(w, e, left)
+        r1, r2, p3r, _ = _probs(w, e, right)
         p3l = np.where(l1 + l2 <= threshold, p3l, -1.0)
         p3r = np.where(r1 + r2 <= threshold, p3r, -1.0)
         go_left = (p3l > best) & (p3l >= p3r)
@@ -141,8 +141,8 @@ def _hill_climb(data, cand, threshold, t_max):
     return cur, best
 
 
-def _point(w, lam, t):
-    p1, p2, p3, p4 = _probs(w, lam, np.array([t]))
+def _point(w, e, t):
+    p1, p2, p3, p4 = _probs(w, e, np.array([t]))
     return float(p1[0] + p2[0]), float(p3[0]), float(p4[0])
 
 
@@ -150,7 +150,7 @@ MAX_CANDIDATES = 512
 
 
 def _find_from_scan(p, data, threshold, t_max):
-    w, lam = data["w"], data["lam"]
+    w, e = data["w"], data["e"]
     times, r, p3 = data["times"], data["r"], data["p3"]
     if "dips" not in data:
         data["dips"] = _refine_dips(data, t_max)
@@ -175,7 +175,7 @@ def _find_from_scan(p, data, threshold, t_max):
     cand = np.concatenate(cand) if cand else np.empty(0)
     if cand.size > MAX_CANDIDATES:
         # keep the best-scoring candidates; stable order keeps determinism
-        _, _, p3c, _ = _probs(w, lam, cand)
+        _, _, p3c, _ = _probs(w, e, cand)
         keep = np.argsort(-p3c, kind="stable")[:MAX_CANDIDATES]
         cand = cand[np.sort(keep)]
 
@@ -189,7 +189,7 @@ def _find_from_scan(p, data, threshold, t_max):
         if dip_t.size and float(np.min(dip_r)) < best_r:
             k = int(np.argmin(dip_r))
             best_t, best_r = float(dip_t[k]), float(dip_r[k])
-        r0, p3v, p4v = _point(w, lam, best_t)
+        r0, p3v, p4v = _point(w, e, best_t)
         return OptimizeResult(
             params=p, threshold=threshold, t_max=t_max, feasible=False,
             t0=best_t, p1p2=r0, p3=p3v, p4=p4v, pi_over_gprime=pi_over,
@@ -199,7 +199,7 @@ def _find_from_scan(p, data, threshold, t_max):
     top = np.max(p3_fin)
     near = p3_fin >= top - P3_TIE_TOL
     t0 = float(np.min(t_fin[near]))
-    r0, p3v, p4v = _point(w, lam, t0)
+    r0, p3v, p4v = _point(w, e, t0)
     return OptimizeResult(
         params=p, threshold=threshold, t_max=t_max, feasible=True,
         t0=t0, p1p2=r0, p3=p3v, p4=p4v, pi_over_gprime=pi_over,
@@ -210,8 +210,7 @@ def find_t0(p, threshold, t_max=DEFAULT_T_MAX):
     """Best measurement time under the entanglement-condition threshold."""
     if not (0.0 < threshold < 1.0):
         raise ValueError("threshold must lie in (0, 1)")
-    if not (t_max > 0):
-        raise ValueError("t_max must be > 0")
+    _check_t_max(t_max)
     data = _scan(p, t_max)
     return _find_from_scan(p, data, threshold, t_max)
 
@@ -238,6 +237,7 @@ def sweep(
         raise ValueError("steps must be >= 1 per axis")
     if not (0 < g_range[0] <= g_range[1]) or not (0 < gprime_range[0] <= gprime_range[1]):
         raise ValueError("ranges must be positive and ordered")
+    _check_t_max(t_max)
     exps = list(threshold_exponents)
     if not exps or any(int(j) != j or j < 1 for j in exps):
         raise ValueError("threshold exponents must be positive integers")

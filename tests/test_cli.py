@@ -138,6 +138,27 @@ def test_bad_flags(capsys):
     assert run(capsys, "nosuchcmd")[0] == 1
 
 
+POINT = ("--g", "0.6", "--gprime", "1.37")
+
+
+@pytest.mark.parametrize("argv", [
+    ("evolve", *POINT, "--t", "-1"),
+    ("evolve", *POINT, "--t", "nan"),
+    ("evolve", *POINT, "--t", "inf"),
+    ("evolve", "--g1", "0.5", "--g2", "0.7", "--omega1", "1", "--omega2", "1",
+     "--t", "1"),
+    ("optimize", *POINT, "--t-max", "inf"),
+    ("trace", *POINT, "--t-max", "inf"),
+    ("sweep", "--grid", "0.5:1.0:2,0.5:1.0:2", "--t-max", "inf"),
+    ("fig4", *POINT, "--t-max", "inf"),
+], ids=lambda argv: " ".join(argv))
+def test_bad_times_are_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_general_couplings(capsys):
     code, out, _ = run(capsys, "evolve", "--g1", "0.5", "--g2", "0.5",
                        "--omega1", "1.0", "--omega2", "1.0",

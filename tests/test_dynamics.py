@@ -13,6 +13,7 @@ from squidcavity.linalg import propagator_oracle
 from squidcavity.model import (
     CouplingParams,
     ExchangeSymmetryError,
+    analytic_eigenvalues,
     build_h_full,
     dark_state_full,
 )
@@ -167,6 +168,31 @@ def test_sector_modes_reproduce_trace():
     assert np.max(np.abs(p1 - tr.probs[:, 0])) < 1e-12
     assert np.max(np.abs(p3 - tr.probs[:, 2])) < 1e-12
     assert np.max(np.abs(p4 - tr.probs[:, 3])) < 1e-12
+
+
+_RNG_POINTS = np.random.default_rng(20261018).uniform(0.05, 3.0, (4, 2))
+
+
+@pytest.mark.parametrize("p", [
+    *(CouplingParams.symmetric(float(g), float(gp)) for g, gp in _RNG_POINTS),
+    CouplingParams.symmetric(0.0, 1.3),
+    CouplingParams.symmetric(0.7, 0.0),
+    CouplingParams.symmetric(0.0, 1.0),  # E1 = E3: degenerate SVD
+    CouplingParams(0.8, 0.8, 2.3, 2.3, 1.1),
+], ids=lambda p: f"g={p.g1:.3g},gp={p.g_prime:.3g},om={p.omega1:.3g}")
+def test_closed_form_matches_oracle(p):
+    w, e = sector_modes(p)
+    spectrum = analytic_eigenvalues(p)
+    assert np.allclose(e, [spectrum[5], spectrum[3]], rtol=0, atol=1e-12)
+    h = build_h_full(p)
+    d0 = dark_state_full(p)
+    times = np.array([0.0, 0.37, 3.1, 16.1, 77.7, 200.0])
+    scan = np.stack(_kernels.scan_probs(w, e, times), axis=1)
+    for t, probs in zip(times, scan):
+        ref = propagator_oracle(h, t) @ d0
+        # the full 6-vector, so nothing may leak into the antisymmetric sector
+        assert np.max(np.abs(evolve(p, t) - ref)) < 1e-10
+        assert np.max(np.abs(probs - probabilities(amplitudes(ref)))) < 1e-10
 
 
 def test_leakage_helper():
