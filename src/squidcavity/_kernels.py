@@ -22,6 +22,19 @@ def mode_amplitudes(w, e, times):
     return w @ np.concatenate((np.cos(ph), np.sin(ph)))
 
 
+def mode_derivatives(w, e, times):
+    """Amplitude rows ``a`` and their time derivatives ``a'``, ``a''``.
+
+    One cos/sin evaluation serves all three: a' = w @ [-e sin; e cos] and
+    a'' = -w @ [e^2 cos; e^2 sin].  Shapes are as in ``mode_amplitudes``.
+    """
+    ph = np.multiply.outer(e, times)
+    ee = np.concatenate((e, e))
+    w1 = np.concatenate((w[:, 2:], -w[:, :2]), axis=1) * ee
+    rows = np.concatenate((w, w1, -w * ee * ee)) @ np.concatenate((np.cos(ph), np.sin(ph)))
+    return rows[:4], rows[4:8], rows[8:]
+
+
 def scan_probs(w, e, times):
     """P1, P2, P3, P4 along ``times`` for mode weights ``w`` and frequencies ``e``."""
     a = mode_amplitudes(w, e, times)

@@ -30,6 +30,10 @@ from .model import (
 
 DEFAULT_T_MAX = 200.0
 DEFAULT_N_STEPS = 4001
+# Largest phase E1*t accepted: one ulp of 2^32 is about 1e-6 rad
+MAX_PHASE = 2.0**32
+# Largest time grid (trace steps, optimizer scan samples) allocated
+MAX_SAMPLES = 2**22
 
 # phi-coordinates of the symmetric-sector vectors carrying F1, F2, F3, F4
 # (chi1+, chi2+, chi4+, chi3+), and of the antisymmetric chi vectors
@@ -102,11 +106,17 @@ def _check_t_max(t_max):
         raise ValueError("t_max must be finite and > 0")
 
 
+def _check_phase(e, t):
+    if e[0] * t > MAX_PHASE:
+        raise ValueError(f"E1*t = {e[0] * t:.3g} exceeds 2^32: double precision cannot resolve it")
+
+
 def evolve(p, t):
     """Dark state (aux in ground) evolved for time t, phi basis."""
     if not (0.0 <= t < np.inf):
         raise ValueError("t must be finite and >= 0")
     w, e = sector_modes(p)
+    _check_phase(e, t)
     return _F_VECTORS.T @ (_F_PHASES * _kernels.mode_amplitudes(w, e, t))
 
 
@@ -137,9 +147,10 @@ def antisymmetric_leakage(psi):
 def trace(p, t_max=DEFAULT_T_MAX, n_steps=DEFAULT_N_STEPS):
     """Evolution trace on a uniform grid over [0, t_max] with n_steps points."""
     _check_t_max(t_max)
-    if n_steps < 2:
-        raise ValueError("n_steps must be >= 2")
+    if not (2 <= n_steps <= MAX_SAMPLES):
+        raise ValueError(f"n_steps must lie in [2, {MAX_SAMPLES}]")
     w, e = sector_modes(p)
+    _check_phase(e, t_max)
     times = np.linspace(0.0, t_max, n_steps)
     probs = np.stack(_kernels.scan_probs(w, e, times), axis=1)
     return EvolutionTrace(

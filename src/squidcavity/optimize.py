@@ -2,9 +2,10 @@
 
 The entanglement condition P1(t0) = P2(t0) = 0 is operationalized as
 P1 + P2 <= threshold.  Within the feasible set the target-state
-probability P3 is maximized by a dense deterministic scan followed by
-local refinement; infeasible cells are first-class results carrying the
-best residual found.
+probability P3 is maximized: a dense deterministic scan brackets every
+candidate and one safeguarded Newton solve on the closed-form
+derivatives refines them; infeasible cells are first-class results
+carrying the best residual found.
 """
 
 from dataclasses import dataclass
@@ -12,13 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .dynamics import DEFAULT_N_STEPS, DEFAULT_T_MAX, _check_t_max, sector_modes, trace
+from .dynamics import DEFAULT_N_STEPS, DEFAULT_T_MAX, MAX_SAMPLES, sector_modes, trace
+from .dynamics import _check_phase, _check_t_max
 
 SCAN_STEP_BASE = 0.01
-REFINE_DT = 1e-6
 P3_TIE_TOL = 1e-9
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _T_FLOOR = 1e-12
+_X_TOL = 1e-12
+_MAX_ITER = 100
+# equations a solve can carry: r' = 0, r = level, P3' = 0
+_DIP, _EDGE, _P3MAX = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -62,148 +66,173 @@ class Fig4Trace:
     dev_pi_over_2gprime: float
 
 
-def _probs(w, e, ts):
-    return _kernels.scan_probs(w, e, np.ascontiguousarray(ts, dtype=np.float64))
+def _scan_setup(p, t_max):
+    """Modes and scan length for one point.  Rejects a phase E1*t_max that
+    double precision cannot resolve and a scan longer than MAX_SAMPLES."""
+    w, e = sector_modes(p)
+    _check_phase(e, t_max)
+    step = SCAN_STEP_BASE / max(1.0, p.g1, p.g_prime)
+    n = int(np.ceil(t_max / step))
+    if n > MAX_SAMPLES:
+        raise ValueError(f"the scan needs {n} samples, more than {MAX_SAMPLES}: lower t_max")
+    return w, e, n
 
 
 def _scan(p, t_max):
-    """Dense deterministic scan; returns everything refinement needs."""
-    w, e = sector_modes(p)
-    step = SCAN_STEP_BASE / max(1.0, p.g1, p.g_prime)
-    n = int(np.ceil(t_max / step))
-    times = np.linspace(t_max / n, t_max, n)
-    p1, p2, p3, p4 = _probs(w, e, times)
-    return {
-        "w": w,
-        "e": e,
-        "step": t_max / n,
-        "times": times,
-        "r": p1 + p2,
-        "p3": p3,
-    }
+    """Dense deterministic scan over [_T_FLOOR, t_max]: the modes and a
+    point table with rows t, r = P1 + P2, P3, P4."""
+    w, e, n = _scan_setup(p, t_max)
+    times = np.linspace(0.0, t_max, n + 1)
+    times[0] = min(_T_FLOOR, times[1])
+    p1, p2, p3, p4 = _kernels.scan_probs(w, e, times)
+    return {"w": w, "e": e, "pts": np.vstack((times, p1 + p2, p3, p4))}
 
 
-def _refine_dips(data, t_max):
-    """Golden-section refinement of every local minimum of P1 + P2."""
-    times = data["times"]
-    r = data["r"]
-    n = times.shape[0]
-    interior = np.where((r[1:-1] <= r[:-2]) & (r[1:-1] <= r[2:]))[0] + 1
-    idx = list(interior)
-    if n >= 2 and r[0] <= r[1]:
-        idx.insert(0, 0)
-    if n >= 2 and r[-1] <= r[-2]:
-        idx.append(n - 1)
-    if not idx:
-        return np.empty(0), np.empty(0)
-    idx = np.array(idx)
-    lo = np.where(idx > 0, times[np.maximum(idx - 1, 0)], _T_FLOOR)
-    hi = np.where(idx < n - 1, times[np.minimum(idx + 1, n - 1)], t_max)
-    w, e = data["w"], data["e"]
-    for _ in range(70):
-        x1 = hi - _GOLDEN * (hi - lo)
-        x2 = lo + _GOLDEN * (hi - lo)
-        q1, q2, _, _ = _probs(w, e, x1)
-        r1 = q1 + q2
-        q1, q2, _, _ = _probs(w, e, x2)
-        r2 = q1 + q2
-        left = r1 < r2
-        hi = np.where(left, x2, hi)
-        lo = np.where(left, lo, x1)
-        if np.max(hi - lo) < 1e-12:
-            break
-    t_ref = 0.5 * (lo + hi)
-    q1, q2, _, _ = _probs(w, e, t_ref)
-    return t_ref, q1 + q2
+def _peaks(x):
+    """Indices where x is >= both neighbours (a missing neighbour never wins)."""
+    padded = np.concatenate(([-np.inf], x, [-np.inf]))
+    return np.flatnonzero((x >= padded[:-2]) & (x >= padded[2:]))
 
 
-def _hill_climb(data, cand, threshold, t_max):
-    """Maximize P3 subject to P1+P2 <= threshold, step-halving to 1e-6."""
-    w, e = data["w"], data["e"]
-    cur = cand.copy()
-    h = np.full(cur.shape, data["step"])
-    q1, q2, p3c, _ = _probs(w, e, cur)
-    best = p3c
-    for _ in range(400):
-        if np.all(h <= REFINE_DT):
-            break
-        left = np.clip(cur - h, _T_FLOOR, t_max)
-        right = np.clip(cur + h, _T_FLOOR, t_max)
-        l1, l2, p3l, _ = _probs(w, e, left)
-        r1, r2, p3r, _ = _probs(w, e, right)
-        p3l = np.where(l1 + l2 <= threshold, p3l, -1.0)
-        p3r = np.where(r1 + r2 <= threshold, p3r, -1.0)
-        go_left = (p3l > best) & (p3l >= p3r)
-        go_right = (p3r > best) & ~go_left
-        cur = np.where(go_left, left, np.where(go_right, right, cur))
-        best = np.where(go_left, p3l, np.where(go_right, p3r, best))
-        h = np.where(go_left | go_right, h, h / 2.0)
-    return cur, best
+def _around(times, idx):
+    """Bracket [t_{i-1}, t_{i+1}] around samples idx, clipped to the grid.
+
+    Every probability is even in t, so t = 0 is an exact critical point: the
+    first sample gets the empty bracket [t_0, t_0] and stays as sampled.
+    """
+    hi = np.where(idx > 0, np.minimum(idx + 1, times.size - 1), 0)
+    return times[np.maximum(idx - 1, 0)], times[hi]
 
 
-def _point(w, e, t):
-    p1, p2, p3, p4 = _probs(w, e, np.array([t]))
-    return float(p1[0] + p2[0]), float(p3[0]), float(p4[0])
+def _equation(w, e, kind, level, t):
+    """f and f' of equation ``kind`` at t, and the point table there.
+
+    The signs make a wanted root an upward crossing: r' for a minimum of r,
+    r - level for an edge whose feasible end is ``lo``, -P3' for a maximum.
+    """
+    a, da, dda = _kernels.mode_derivatives(w, e, t)
+    p = a * a
+    r = p[0] + p[1]
+    if kind == _P3MAX:
+        f, df = -2.0 * a[2] * da[2], -2.0 * (da[2] * da[2] + a[2] * dda[2])
+    else:
+        dr = 2.0 * (a[0] * da[0] + a[1] * da[1])
+        if kind == _DIP:
+            f, df = dr, 2.0 * (da[0] * da[0] + a[0] * dda[0] + da[1] * da[1] + a[1] * dda[1])
+        else:
+            f, df = r - level, dr
+    return f, df, np.vstack((t, r, p[2], p[3]))
 
 
-MAX_CANDIDATES = 512
+def _solve(w, e, kind, lo, hi, level):
+    """One root of equation ``kind`` per bracket [lo, hi] by bracketed
+    Newton (rtsafe), one kernel call per iteration over all open brackets.
+
+    A Newton step leaving the bracket, or not halving the previous step,
+    bisects instead (one landing on an end is kept).  A step below the
+    tolerance 1e-12 max(1, t) is pushed that far past the root and ends the
+    solve.  The result is the last point evaluated with f <= 0, so an edge
+    is feasible under the same closed form; a bracket without the sign
+    change f(lo) <= 0 < f(hi) returns its midpoint.  Returns the point table.
+    """
+    m = lo.size
+    if m == 0:
+        return np.empty((4, 0))
+    mid = 0.5 * (lo + hi)
+    f, df, pts = _equation(w, e, kind, level, np.concatenate((lo, hi, mid)))
+    idx = np.flatnonzero((f[:m] <= 0.0) & (f[m:2 * m] > 0.0))
+    out = pts[:, 2 * m:].copy()
+    out[:, idx] = pts[:, idx]
+    a, b, x, step = lo[idx], hi[idx], mid[idx], np.abs(hi - lo)[idx]
+    f, df, pts = f[2 * m + idx], df[2 * m + idx], pts[:, 2 * m + idx]
+    final = np.zeros(idx.size, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_ITER):
+            neg = f <= 0.0
+            a, b = np.where(neg, x, a), np.where(neg, b, x)
+            out[:, idx[neg]] = pts[:, neg]
+            tol = _X_TOL * np.maximum(1.0, np.abs(x))
+            go = ~final & (np.abs(b - a) > tol)
+            if not go.any():
+                break
+            if not go.all():
+                idx, a, b, x, step, f, df, tol = (v[go] for v in (idx, a, b, x, step, f, df, tol))
+            d = f / df
+            c = 0.5 * (a + b)
+            final = np.abs(d) <= tol
+            # a converged step goes on by tol toward the other end, past the root
+            xn = x - d + np.where(final, np.copysign(tol, c - x), 0.0)
+            inside = (xn >= np.minimum(a, b)) & (xn <= np.maximum(a, b))
+            bis = ~inside | (~final & (np.abs(2.0 * d) > step))
+            xn = np.where(bis, c, xn)
+            final &= ~bis
+            step = np.abs(xn - x)
+            x = xn
+            f, df, pts = _equation(w, e, kind, level, x)
+    return out
+
+
+def _dips(data):
+    """Newton-refined 3-point minima of r, as a point table with their
+    sample indices."""
+    times, r = data["pts"][0], data["pts"][1]
+    idx = _peaks(-r)
+    return idx, _solve(data["w"], data["e"], _DIP, *_around(times, idx), 0.0)
+
+
+def _result(p, threshold, t_max, feasible, row):
+    gp = p.g_prime
+    return OptimizeResult(
+        params=p, threshold=threshold, t_max=t_max, feasible=feasible,
+        t0=float(row[0]), p1p2=float(row[1]), p3=float(row[2]), p4=float(row[3]),
+        pi_over_gprime=np.pi / gp if gp > 0 else np.inf,
+    )
 
 
 def _find_from_scan(p, data, threshold, t_max):
-    w, e = data["w"], data["e"]
-    times, r, p3 = data["times"], data["r"], data["p3"]
+    w, e, pts = data["w"], data["e"], data["pts"]
+    times, r, p3 = pts[0], pts[1], pts[2]
     if "dips" not in data:
-        data["dips"] = _refine_dips(data, t_max)
-    dip_t, dip_r = data["dips"]
+        data["dips"] = _dips(data)
+    dip_i, dips = data["dips"]
 
     feas = r <= threshold
-    cand = []
-    if np.any(feas):
-        prev = np.roll(p3, 1)
-        nxt = np.roll(p3, -1)
-        prev[0] = -1.0
-        nxt[-1] = -1.0
-        local_max = feas & (p3 >= prev) & (p3 >= nxt)
-        prev_f = np.roll(feas, 1)
-        next_f = np.roll(feas, -1)
-        prev_f[0] = False
-        next_f[-1] = False
-        boundary = feas & (~prev_f | ~next_f)
-        cand.append(times[local_max | boundary])
-    if dip_t.size:
-        cand.append(dip_t[dip_r <= threshold])
-    cand = np.concatenate(cand) if cand else np.empty(0)
-    if cand.size > MAX_CANDIDATES:
-        # keep the best-scoring candidates; stable order keeps determinism
-        _, _, p3c, _ = _probs(w, e, cand)
-        keep = np.argsort(-p3c, kind="stable")[:MAX_CANDIDATES]
-        cand = cand[np.sort(keep)]
-
-    gp = p.g_prime
-    pi_over = np.pi / gp if gp > 0 else np.inf
-
-    if cand.size == 0:
+    dip_feas = dips[1] <= threshold
+    if not feas.any() and not dip_feas.any():
         # infeasible: report the smallest residual seen
-        best_t = float(times[np.argmin(r)])
-        best_r = float(np.min(r))
-        if dip_t.size and float(np.min(dip_r)) < best_r:
-            k = int(np.argmin(dip_r))
-            best_t, best_r = float(dip_t[k]), float(dip_r[k])
-        r0, p3v, p4v = _point(w, e, best_t)
-        return OptimizeResult(
-            params=p, threshold=threshold, t_max=t_max, feasible=False,
-            t0=best_t, p1p2=r0, p3=p3v, p4=p4v, pi_over_gprime=pi_over,
-        )
+        best = pts[:, np.argmin(r)]
+        if dips.size and dips[1].min() < best[1]:
+            best = dips[:, np.argmin(dips[1])]
+        return _result(p, threshold, t_max, False, best)
 
-    t_fin, p3_fin = _hill_climb(data, cand, threshold, t_max)
-    top = np.max(p3_fin)
-    near = p3_fin >= top - P3_TIE_TOL
-    t0 = float(np.min(t_fin[near]))
-    r0, p3v, p4v = _point(w, e, t0)
-    return OptimizeResult(
-        params=p, threshold=threshold, t_max=t_max, feasible=True,
-        t0=t0, p1p2=r0, p3=p3v, p4=p4v, pi_over_gprime=pi_over,
+    # edges r = threshold between feasible/infeasible neighbours, and on both
+    # sides of each feasible dip that falls between infeasible samples
+    cut = np.flatnonzero(feas[:-1] != feas[1:])
+    inside = np.where(feas[cut], cut, cut + 1)
+    outside = np.where(feas[cut], cut + 1, cut)
+    narrow = dip_feas & ~feas[dip_i]
+    dip_lo, dip_hi = _around(times, dip_i[narrow])
+    edge_lo = np.concatenate((times[inside], dips[0, narrow], dips[0, narrow]))
+    edge_hi = np.concatenate((times[outside], dip_lo, dip_hi))
+    edges = _solve(w, e, _EDGE, edge_lo, edge_hi, threshold)
+
+    # P3 maxima next to feasible 3-point maxima of P3, and between each
+    # edge and the feasible end of its bracket
+    peak = _peaks(p3)
+    peak = peak[feas[peak]]
+    peak_lo, peak_hi = _around(times, peak)
+    maxima = _solve(
+        w, e, _P3MAX,
+        np.concatenate((peak_lo, np.minimum(edge_lo, edges[0]))),
+        np.concatenate((peak_hi, np.maximum(edge_lo, edges[0]))),
+        threshold,
     )
+
+    # the feasible samples bracketing maxima and edges stay candidates too
+    cand = np.hstack((pts[:, peak], pts[:, inside], dips[:, dip_feas], edges, maxima))
+    cand = cand[:, cand[1] <= threshold]
+    near = cand[2] >= cand[2].max() - P3_TIE_TOL
+    return _result(p, threshold, t_max, True, cand[:, near][:, np.argmin(cand[0, near])])
 
 
 def find_t0(p, threshold, t_max=DEFAULT_T_MAX):
@@ -211,8 +240,7 @@ def find_t0(p, threshold, t_max=DEFAULT_T_MAX):
     if not (0.0 < threshold < 1.0):
         raise ValueError("threshold must lie in (0, 1)")
     _check_t_max(t_max)
-    data = _scan(p, t_max)
-    return _find_from_scan(p, data, threshold, t_max)
+    return _find_from_scan(p, _scan(p, t_max), threshold, t_max)
 
 
 def sweep(
@@ -238,6 +266,8 @@ def sweep(
     if not (0 < g_range[0] <= g_range[1]) or not (0 < gprime_range[0] <= gprime_range[1]):
         raise ValueError("ranges must be positive and ordered")
     _check_t_max(t_max)
+    # the corner has the largest E1 and scan of the grid
+    _scan_setup(CouplingParams.symmetric(g_range[1], gprime_range[1]), t_max)
     exps = list(threshold_exponents)
     if not exps or any(int(j) != j or j < 1 for j in exps):
         raise ValueError("threshold exponents must be positive integers")

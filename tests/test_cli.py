@@ -151,6 +151,9 @@ POINT = ("--g", "0.6", "--gprime", "1.37")
     ("trace", *POINT, "--t-max", "inf"),
     ("sweep", "--grid", "0.5:1.0:2,0.5:1.0:2", "--t-max", "inf"),
     ("fig4", *POINT, "--t-max", "inf"),
+    ("evolve", *POINT, "--t", "1e300"),
+    ("trace", *POINT, "--t-max", "1e300", "--n-steps", "3"),
+    ("optimize", *POINT, "--t-max", "1e300"),
 ], ids=lambda argv: " ".join(argv))
 def test_bad_times_are_errors(capsys, argv):
     code, out, err = run(capsys, *argv)

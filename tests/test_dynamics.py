@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from squidcavity.dynamics import (
+    MAX_PHASE,
+    MAX_SAMPLES,
     amplitudes,
     antisymmetric_leakage,
     evolve,
@@ -193,6 +195,37 @@ def test_closed_form_matches_oracle(p):
         # the full 6-vector, so nothing may leak into the antisymmetric sector
         assert np.max(np.abs(evolve(p, t) - ref)) < 1e-10
         assert np.max(np.abs(probs - probabilities(amplitudes(ref)))) < 1e-10
+
+
+@pytest.mark.parametrize("g,gp", [(0.6, 1.37), (2.95, 1.10), (0.7, 0.0), (0.0, 1.0)],
+                         ids=["paper", "large-g", "gprime-off", "E1=E3"])
+def test_mode_derivatives_match_central_differences(g, gp):
+    w, e = sector_modes(CouplingParams.symmetric(g, gp))
+    times = np.array([0.0, 0.37, 3.1, 16.1, 77.7])
+    a, da, dda = _kernels.mode_derivatives(w, e, times)
+    amp = lambda t: _kernels.mode_amplitudes(w, e, t)
+    assert np.allclose(a, amp(times), rtol=0, atol=1e-14)
+    h = 1e-5
+    assert np.allclose(da, (amp(times + h) - amp(times - h)) / (2 * h), rtol=0, atol=1e-8)
+    h = 1e-4
+    second = (amp(times + h) - 2 * amp(times) + amp(times - h)) / (h * h)
+    assert np.allclose(dda, second, rtol=0, atol=2e-6)
+    scalar = _kernels.mode_derivatives(w, e, 3.1)
+    assert all(np.allclose(s, v[:, 2], rtol=0, atol=1e-14) for s, v in zip(scalar, (a, da, dda)))
+
+
+def test_unresolvable_times_and_oversized_grids_are_rejected(forbid_large_grids):
+    p = CouplingParams.symmetric(0.6, 1.37)
+    _, e = sector_modes(p)
+    evolve(p, 0.99 * MAX_PHASE / e[0])
+    with pytest.raises(ValueError, match="2\\^32"):
+        evolve(p, 1.01 * MAX_PHASE / e[0])
+    with pytest.raises(ValueError, match="2\\^32"):
+        evolve(p, 1e300)
+    with pytest.raises(ValueError, match="2\\^32"):
+        trace(p, t_max=1e300, n_steps=3)
+    with pytest.raises(ValueError, match="n_steps"):
+        trace(p, t_max=1.0, n_steps=MAX_SAMPLES + 1)
 
 
 def test_leakage_helper():

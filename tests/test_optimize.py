@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 import squidcavity.optimize as opt
-from squidcavity.dynamics import amplitudes, evolve, probabilities
-from squidcavity.model import CouplingParams
+from squidcavity import _kernels
+from squidcavity.dynamics import amplitudes, evolve, probabilities, sector_modes
+from squidcavity.linalg import propagator_oracle
+from squidcavity.model import CouplingParams, build_h_full, dark_state_full
 from squidcavity.optimize import emit_fig4_traces, find_t0, sweep
+
+PAPER_PAIRS = ((0.25, 1.89), (2.95, 1.10), (0.60, 1.37))
 
 
 def test_stationary_infeasible_for_tight_threshold():
@@ -132,3 +136,79 @@ def test_fig4_propagates_infeasibility_as_annotation():
     params = [CouplingParams.symmetric(0.5, 0.0)]
     bundles = emit_fig4_traces(params, t_max=20.0, n_steps=101, threshold=1e-6)
     assert not bundles[0].result.feasible
+
+
+_BRUTE_POINTS = (
+    *PAPER_PAIRS,
+    (1.5, 0.7),
+    # optima inside feasible dips that fall between scan samples at 1e-6
+    (0.5001221372522346, 1.5638393536739232),
+    (1.1131089249542268, 1.8785901702363161),
+    *(tuple(pt) for pt in np.random.default_rng(20261018).uniform(0.05, 3.0, (11, 2)).round(6)),
+    (1.0, 0.0),  # g' = 0: r is constant and r' vanishes identically
+    (1e-3, 1.2),  # g -> 0
+    (0.0, 1.0),  # E1 = E3
+)
+
+
+@pytest.mark.parametrize("g,gp", _BRUTE_POINTS, ids=lambda v: f"{v:g}")
+def test_find_t0_beats_brute_force_on_a_finer_grid(g, gp):
+    p = CouplingParams.symmetric(g, gp)
+    w, e = sector_modes(p)
+    step = opt.SCAN_STEP_BASE / (4.0 * max(1.0, g, gp))
+    times = np.linspace(0.0, 200.0, int(np.ceil(200.0 / step)) + 1)[1:]
+    p1, p2, p3, _ = _kernels.scan_probs(w, e, times)
+    h, d0 = build_h_full(p), dark_state_full(p)
+    for threshold in (1e-6, 1e-3, 1e-1):
+        res = find_t0(p, threshold)
+        feasible = p1 + p2 <= threshold
+        if feasible.any():
+            assert res.feasible
+            assert res.p3 >= np.max(p3[feasible]) - 1e-9
+        if res.feasible:
+            q1, q2, q3, _ = probabilities(amplitudes(propagator_oracle(h, res.t0) @ d0))
+            assert q1 + q2 <= threshold + 1e-12
+            assert abs(q3 - res.p3) <= 1e-9
+
+
+def _count_kernel_calls(monkeypatch):
+    """Count calls into _kernels from outside it (scan_probs calls
+    mode_amplitudes itself)."""
+    calls = [0]
+    depth = [0]
+    for name in ("mode_amplitudes", "mode_derivatives", "scan_probs"):
+        def counted(*args, _fn=getattr(_kernels, name)):
+            calls[0] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return _fn(*args)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(_kernels, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("threshold", [1e-6, 1e-1])
+@pytest.mark.parametrize("g,gp", PAPER_PAIRS + ((1.5, 0.7),))
+def test_kernel_evaluations_per_find_t0(monkeypatch, g, gp, threshold):
+    calls = _count_kernel_calls(monkeypatch)
+    find_t0(CouplingParams.symmetric(g, gp), threshold)
+    assert 1 <= calls[0] <= 40
+
+
+def test_oversized_scans_are_rejected_before_allocation(forbid_large_grids):
+    big = CouplingParams.symmetric(1000.0, 1.0)  # 2e7 samples at t_max = 200
+    with pytest.raises(ValueError, match="samples"):
+        find_t0(big, 1e-6)
+    with pytest.raises(ValueError, match="samples"):
+        sweep((0.5, 1000.0), (0.5, 1.0), 2, [6])
+    with pytest.raises(ValueError, match="samples"):
+        find_t0(CouplingParams.symmetric(0.6, 1.37), 1e-6, t_max=1e9)
+
+
+def test_unresolvable_phases_are_rejected():
+    p = CouplingParams.symmetric(0.6, 1.37)
+    with pytest.raises(ValueError, match="2\\^32"):
+        find_t0(p, 1e-6, t_max=1e300)
+    with pytest.raises(ValueError, match="2\\^32"):
+        sweep((0.5, 1.0), (0.5, 1.0), 2, [6], t_max=1e300)
