@@ -43,16 +43,41 @@ def _num(x):
     return x if np.isfinite(x) else None
 
 
-def _add_common(sp):
-    sp.add_argument("--config", help="JSON config file; flags override its values")
-    sp.add_argument("--g", type=float, help="symmetric cavity coupling (Omega units)")
-    sp.add_argument("--gprime", type=float, help="auxiliary-SQUID coupling (Omega units)")
-    sp.add_argument("--g1", type=float)
-    sp.add_argument("--g2", type=float)
-    sp.add_argument("--omega1", type=float)
-    sp.add_argument("--omega2", type=float)
-    sp.add_argument("--out", help="output path (default: stdout)")
-    sp.add_argument("--format", choices=("csv", "json"), default=None)
+_CELL = {bool: lambda v: "true" if v else "false", int: str, str: str}
+
+
+def _line(row):
+    """One CSV line; cells are formatted by type, anything else by _fmt."""
+    return ",".join([_CELL.get(type(v), _fmt)(v) for v in row])
+
+
+# Every flag by destination (the flag is "--" + dest with "-" for "_"); a
+# config file key is a destination and must be what its flag would parse.
+_FLAGS = {
+    "config": {"help": "JSON config file; flags override its values"},
+    "g": {"type": float, "help": "symmetric cavity coupling (Omega units)"},
+    "gprime": {"type": float, "help": "auxiliary-SQUID coupling (Omega units)"},
+    "g1": {"type": float},
+    "g2": {"type": float},
+    "omega1": {"type": float},
+    "omega2": {"type": float},
+    "out": {"help": "output path (default: stdout)"},
+    "format": {"choices": ("csv", "json")},
+    "t": {"type": float, "help": "evolution time (1/Omega)"},
+    "t_max": {"type": float},
+    "n_steps": {"type": int},
+    "threshold_exp": {"type": int, "action": "append", "help": "j in P1+P2 <= 10^-j (default 6)"},
+    "require_feasible": {"action": "store_true"},
+    "grid": {"help": '"gmin:gmax:n,gpmin:gpmax:n" (default %s)' % DEFAULT_GRID},
+}
+_COMMON = ("config", "g", "gprime", "g1", "g2", "omega1", "omega2", "out", "format")
+# resolved after the config merge, so that a config value can still fill them
+_DEFAULTS = {
+    "t_max": DEFAULT_T_MAX, "n_steps": DEFAULT_N_STEPS, "threshold_exp": (6,), "grid": DEFAULT_GRID,
+}
+_CONFIG_KEYS = set(_FLAGS) - {"config"}
+# exact JSON types a config value may have, by the type its flag parses
+_JSON_TYPES = {float: (int, float), int: (int,), str: (str,), bool: (bool,)}
 
 
 def build_parser():
@@ -62,53 +87,25 @@ def build_parser():
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("eig", help="analytic and numeric spectrum for (g, g')")
-    _add_common(sp)
-
-    sp = sub.add_parser("evolve", help="state amplitudes and P1..P4 at one time")
-    _add_common(sp)
-    sp.add_argument("--t", type=float, help="evolution time (1/Omega)")
-
-    sp = sub.add_parser(
-        "trace", help="time trace; CSV columns t,P1,P2,P3,P4,sum"
-    )
-    _add_common(sp)
-    sp.add_argument("--t-max", type=float, default=None)
-    sp.add_argument("--n-steps", type=int, default=None)
-
-    sp = sub.add_parser("optimize", help="best measurement time for one (g, g')")
-    _add_common(sp)
-    sp.add_argument("--t-max", type=float, default=None)
-    sp.add_argument("--threshold-exp", type=int, action="append",
-                    help="j in P1+P2 <= 10^-j (default 6)")
-    sp.add_argument("--require-feasible", action="store_true")
-
-    sp = sub.add_parser(
-        "sweep",
-        help="feasibility map; CSV columns g,gprime,j,feasible,t0,p3,p1p2",
-    )
-    _add_common(sp)
-    sp.add_argument("--t-max", type=float, default=None)
-    sp.add_argument("--threshold-exp", type=int, action="append")
-    sp.add_argument("--grid", default=None,
-                    help='"gmin:gmax:n,gpmin:gpmax:n" (default %s)' % DEFAULT_GRID)
-
-    sp = sub.add_parser(
-        "fig4", help="trace bundle with annotated t0 for the paper-style triples"
-    )
-    _add_common(sp)
-    sp.add_argument("--t-max", type=float, default=None)
-    sp.add_argument("--n-steps", type=int, default=None)
-    sp.add_argument("--threshold-exp", type=int, action="append")
-
+    for name, (help_text, extra, _) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for dest in _COMMON + extra:
+            sp.add_argument("--" + dest.replace("_", "-"), **_FLAGS[dest])
     return parser
 
 
-_CONFIG_KEYS = {
-    "g", "gprime", "g1", "g2", "omega1", "omega2", "t", "t_max", "n_steps",
-    "threshold_exp", "grid", "out", "format", "require_feasible",
-}
+def _config_value(path, key, val):
+    """A config value as its flag would parse it; any other value is an error."""
+    spec = _FLAGS[key]
+    kind = bool if spec.get("action") == "store_true" else spec.get("type", str)
+    many = spec.get("action") == "append"
+    items = val if many else [val]
+    if many != isinstance(val, list) or not all(
+        type(v) in _JSON_TYPES[kind] and v in spec.get("choices", (v,)) for v in items
+    ):
+        raise CliError(f"{path}: bad config value for {key}: {val!r}")
+    items = [kind(v) for v in items]
+    return items if many else items[0]
 
 
 def _merge_config(ns):
@@ -129,6 +126,7 @@ def _merge_config(ns):
     if unknown:
         raise CliError(f"{path}: unknown config keys: {sorted(unknown)}")
     for key, val in cfg.items():
+        val = _config_value(path, key, val)
         if getattr(ns, key, None) in (None, False):
             setattr(ns, key, val)
     return ns
@@ -136,40 +134,164 @@ def _merge_config(ns):
 
 def _resolve_params(ns):
     general = [ns.g1, ns.g2, ns.omega1, ns.omega2]
+    gp = ns.gprime if ns.gprime is not None else 0.0
     if any(v is not None for v in general):
         if any(v is None for v in general):
             raise CliError("--g1/--g2/--omega1/--omega2 must be given together")
-        gp = ns.gprime if ns.gprime is not None else 0.0
-        try:
-            return CouplingParams(
-                g1=ns.g1, g2=ns.g2, omega1=ns.omega1, omega2=ns.omega2, g_prime=gp
-            )
-        except ValueError as exc:
-            raise CliError(str(exc))
+        return CouplingParams(g1=ns.g1, g2=ns.g2, omega1=ns.omega1, omega2=ns.omega2, g_prime=gp)
     if ns.g is None:
         raise CliError("--g is required (or the --g1/--g2/--omega1/--omega2 group)")
-    gp = ns.gprime if ns.gprime is not None else 0.0
-    try:
-        return CouplingParams.symmetric(ns.g, gp)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    return CouplingParams.symmetric(ns.g, gp)
+
+
+def _exponents(ns, single):
+    """The --threshold-exp values, checked alike for every command."""
+    exps = ns.threshold_exp
+    if not exps or min(exps) < 1:
+        raise CliError("threshold exponents must be positive integers")
+    if single and len(exps) > 1:
+        raise CliError(f"{ns.command} takes one --threshold-exp")
+    return exps
 
 
 def _parse_grid(spec):
     try:
-        parts = spec.split(",")
-        if len(parts) != 2:
-            raise ValueError
-        axes = []
-        for part in parts:
-            lo, hi, n = part.split(":")
-            axes.append((float(lo), float(hi), int(n)))
-        return axes
+        axes = [(float(lo), float(hi), int(n))
+                for lo, hi, n in (part.split(":") for part in spec.split(","))]
+        if len(axes) == 2:
+            return axes
     except ValueError:
-        raise CliError(f'bad --grid {spec!r}; expected "gmin:gmax:n,gpmin:gpmax:n"')
+        pass
+    raise CliError(f'bad --grid {spec!r}; expected "gmin:gmax:n,gpmin:gpmax:n"')
 
 
-def _write(text, ns):
+_FIG4_NOTES = ("pi_over_gprime", "pi_over_2gprime", "dev_pi_over_gprime", "dev_pi_over_2gprime")
+
+
+def _head(command, p):
+    return {"schema_version": SCHEMA_VERSION, "command": command,
+            "g": _num(p.g1), "gprime": _num(p.g_prime)}
+
+
+# Each command returns (JSON payload, CSV header, CSV rows); a row's cells
+# are formatted by type, so a constant run of columns can be one str cell.
+def _eig(ns):
+    p = _resolve_params(ns)
+    analytic = analytic_eigenvalues(p).tolist()
+    print(UNIT_BANNER, file=sys.stderr)
+    numeric = spectrum(p).tolist()
+    payload = {**_head("eig", p), "analytic": analytic, "numeric": numeric}
+    return payload, "n,analytic,numeric", zip(range(6), analytic, numeric)
+
+
+def _evolve(ns):
+    p = _resolve_params(ns)
+    if ns.t is None:
+        raise CliError("--t is required for evolve")
+    psi = evolve(p, ns.t)
+    probs = probabilities(amplitudes(psi))
+    pairs = [[a.real, a.imag] for a in psi.tolist()]
+    payload = {**_head("evolve", p), "t": float(ns.t), "amplitudes": pairs,
+               "probabilities": [float(v) for v in probs]}
+    return payload, "label,re,im", ((str(label), *pair) for label, pair in zip(PHI_BASIS, pairs))
+
+
+def _trace(ns):
+    p = _resolve_params(ns)
+    tr = trace(p, t_max=ns.t_max, n_steps=ns.n_steps)
+    times, rows = tr.times.tolist(), tr.probs.tolist()
+    payload = {**_head("trace", p), "times": times, "rows": rows}
+    sums = tr.probs.sum(axis=1).tolist()
+    return payload, "t,P1,P2,P3,P4,sum", ((t, *row, s) for t, row, s in zip(times, rows, sums))
+
+
+def _optimize(ns):
+    p = _resolve_params(ns)
+    (j,) = _exponents(ns, single=True)
+    res = find_t0(p, 10.0 ** (-j), t_max=ns.t_max)
+    print(UNIT_BANNER, file=sys.stderr)
+    payload = {
+        **_head("optimize", p), "j": j, "threshold": float(res.threshold),
+        "feasible": bool(res.feasible), "t0": float(res.t0), "p1p2": float(res.p1p2),
+        "p3": float(res.p3), "p4": float(res.p4), "pi_over_gprime": _num(res.pi_over_gprime),
+        "pi_over_2gprime": _num(res.pi_over_gprime / 2.0),
+    }
+    row = (p.g1, p.g_prime, j, bool(res.feasible), res.t0, res.p1p2, res.p3, res.p4,
+           res.pi_over_gprime)
+    return payload, "g,gprime,j,feasible,t0,p1p2,p3,p4,pi_over_gprime", [row]
+
+
+def _sweep(ns):
+    exps = _exponents(ns, single=False)
+    (g_lo, g_hi, g_n), (gp_lo, gp_hi, gp_n) = _parse_grid(ns.grid)
+    total = g_n * gp_n
+
+    def progress(done):
+        if done % 1000 == 0 or done == total:
+            print(f"cells {done}/{total}", file=sys.stderr)
+
+    grids = sweep((g_lo, g_hi), (gp_lo, gp_hi), (g_n, gp_n), exps, t_max=ns.t_max,
+                  progress=progress)
+    out, rows = [], []
+    for grid in grids:
+        j, g_values, gp_values = grid.threshold_exponent, grid.g_values.tolist(), grid.gprime_values.tolist()
+        cells = [[{"feasible": bool(c.feasible), "t0": float(c.t0), "p3": float(c.p3),
+                   "p1p2": float(c.p1p2)} for c in row] for row in grid.cells]
+        out.append({"j": j, "g_values": g_values, "gprime_values": gp_values, "cells": cells})
+        rows += [(g, gp, j, *cell.values())
+                 for g, row in zip(g_values, cells) for gp, cell in zip(gp_values, row)]
+    payload = {"schema_version": SCHEMA_VERSION, "command": "sweep",
+               "t_max": float(ns.t_max), "grids": out}
+    return payload, "g,gprime,j,feasible,t0,p3,p1p2", rows
+
+
+def _fig4(ns):
+    (j,) = _exponents(ns, single=True)
+    threshold = 10.0 ** (-j)
+    if ns.g is not None:
+        triples = [(ns.g, ns.gprime if ns.gprime is not None else 0.0)]
+    else:
+        triples = PAPER_TRIPLES
+    params = [CouplingParams.symmetric(g, gp) for g, gp in triples]
+    bundles = emit_fig4_traces(params, t_max=ns.t_max, n_steps=ns.n_steps, threshold=threshold)
+    out, rows = [], []
+    for b in bundles:
+        p, res = b.trace.params, b.result
+        times, probs = b.trace.times.tolist(), b.trace.probs.tolist()
+        notes = [getattr(b, name) for name in _FIG4_NOTES]
+        out.append({
+            "g": _num(p.g1), "gprime": _num(p.g_prime), "feasible": bool(res.feasible),
+            "t0": float(res.t0), "p3_at_t0": float(res.p3), "p1p2_at_t0": float(res.p1p2),
+            **{name: _num(v) for name, v in zip(_FIG4_NOTES, notes)}, "times": times, "rows": probs,
+        })
+        point = _line((p.g1, p.g_prime))
+        annot = _line((bool(res.feasible), res.t0, res.p3, res.p1p2, *notes))
+        rows += [(point, t, *row, annot) for t, row in zip(times, probs)]
+    payload = {"schema_version": SCHEMA_VERSION, "command": "fig4", "threshold": threshold,
+               "bundles": out}
+    header = "g,gprime,t,P1,P2,P3,P4,feasible,t0,p3_at_t0,p1p2_at_t0," + ",".join(_FIG4_NOTES)
+    return payload, header, rows
+
+
+# name: (help, flags besides _COMMON, handler)
+_COMMANDS = {
+    "eig": ("analytic and numeric spectrum for (g, g')", (), _eig),
+    "evolve": ("state amplitudes and P1..P4 at one time", ("t",), _evolve),
+    "trace": ("time trace; CSV columns t,P1,P2,P3,P4,sum", ("t_max", "n_steps"), _trace),
+    "optimize": ("best measurement time for one (g, g')",
+                 ("t_max", "threshold_exp", "require_feasible"), _optimize),
+    "sweep": ("feasibility map; CSV columns g,gprime,j,feasible,t0,p3,p1p2",
+              ("t_max", "threshold_exp", "grid"), _sweep),
+    "fig4": ("trace bundle with annotated t0 for the paper-style triples",
+             ("t_max", "n_steps", "threshold_exp"), _fig4),
+}
+
+def _render(payload, header, rows, ns):
+    fmt = ns.format or ("csv" if ns.out and str(ns.out).endswith(".csv") else "json")
+    if fmt == "json":
+        text = json.dumps(payload, indent=2) + "\n"
+    else:
+        text = "\n".join([header, *map(_line, rows)]) + "\n"
     if ns.out:
         with open(ns.out, "w", newline="\n") as fh:
             fh.write(text)
@@ -177,287 +299,22 @@ def _write(text, ns):
         sys.stdout.write(text)
 
 
-def _emit(payload, csv_lines, ns):
-    fmt = ns.format or ("csv" if ns.out and str(ns.out).endswith(".csv") else "json")
-    if fmt == "json":
-        _write(json.dumps(payload, indent=2) + "\n", ns)
-    else:
-        _write("\n".join(csv_lines) + "\n", ns)
-
-
-def _banner():
-    print(UNIT_BANNER, file=sys.stderr)
-
-
-def _cmd_eig(ns):
-    p = _resolve_params(ns)
+def main(argv=None):
     try:
-        analytic = analytic_eigenvalues(p)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    _banner()
-    numeric = spectrum(p)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "eig",
-        "g": _num(p.g1),
-        "gprime": _num(p.g_prime),
-        "analytic": [float(v) for v in analytic],
-        "numeric": [float(v) for v in numeric],
-    }
-    lines = ["n,analytic,numeric"]
-    for i in range(6):
-        lines.append(f"{i},{_fmt(analytic[i])},{_fmt(numeric[i])}")
-    _emit(payload, lines, ns)
-    return 0
-
-
-def _cmd_evolve(ns):
-    p = _resolve_params(ns)
-    if ns.t is None:
-        raise CliError("--t is required for evolve")
-    try:
-        psi = evolve(p, ns.t)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    probs = probabilities(amplitudes(psi))
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "evolve",
-        "g": _num(p.g1),
-        "gprime": _num(p.g_prime),
-        "t": float(ns.t),
-        "amplitudes": [[float(a.real), float(a.imag)] for a in psi],
-        "probabilities": [float(v) for v in probs],
-    }
-    lines = ["label,re,im"]
-    for label, a in zip(PHI_BASIS, psi):
-        lines.append(f"{label},{_fmt(a.real)},{_fmt(a.imag)}")
-    _emit(payload, lines, ns)
-    return 0
-
-
-def _cmd_trace(ns):
-    p = _resolve_params(ns)
-    t_max = ns.t_max if ns.t_max is not None else DEFAULT_T_MAX
-    n_steps = ns.n_steps if ns.n_steps is not None else DEFAULT_N_STEPS
-    try:
-        tr = trace(p, t_max=t_max, n_steps=n_steps)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "trace",
-        "g": _num(p.g1),
-        "gprime": _num(p.g_prime),
-        "times": [float(t) for t in tr.times],
-        "rows": [[float(v) for v in row] for row in tr.probs],
-    }
-    lines = ["t,P1,P2,P3,P4,sum"]
-    for t, row in zip(tr.times, tr.probs):
-        lines.append(
-            ",".join([_fmt(t)] + [_fmt(v) for v in row] + [_fmt(row.sum())])
-        )
-    _emit(payload, lines, ns)
-    return 0
-
-
-def _result_fields(res, j):
-    return {
-        "j": j,
-        "threshold": float(res.threshold),
-        "feasible": bool(res.feasible),
-        "t0": float(res.t0),
-        "p1p2": float(res.p1p2),
-        "p3": float(res.p3),
-        "p4": float(res.p4),
-        "pi_over_gprime": _num(res.pi_over_gprime),
-        "pi_over_2gprime": _num(res.pi_over_gprime / 2.0),
-    }
-
-
-def _cmd_optimize(ns):
-    p = _resolve_params(ns)
-    t_max = ns.t_max if ns.t_max is not None else DEFAULT_T_MAX
-    exps = ns.threshold_exp or [6]
-    j = int(exps[0])
-    try:
-        res = find_t0(p, 10.0 ** (-j), t_max=t_max)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    _banner()
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "optimize",
-        "g": _num(p.g1),
-        "gprime": _num(p.g_prime),
-        **_result_fields(res, j),
-    }
-    header = "g,gprime,j,feasible,t0,p1p2,p3,p4,pi_over_gprime"
-    row = ",".join(
-        [
-            _fmt(p.g1), _fmt(p.g_prime), str(j),
-            "true" if res.feasible else "false",
-            _fmt(res.t0), _fmt(res.p1p2), _fmt(res.p3), _fmt(res.p4),
-            _fmt(res.pi_over_gprime) if np.isfinite(res.pi_over_gprime) else "inf",
-        ]
-    )
-    _emit(payload, [header, row], ns)
-    if ns.require_feasible and not res.feasible:
-        print(
-            f"infeasible: best residual {res.p1p2:.3e} at t={res.t0:.6f}",
-            file=sys.stderr,
-        )
+        ns = _merge_config(build_parser().parse_args(argv))
+        for key, val in _DEFAULTS.items():
+            if getattr(ns, key, None) is None:
+                setattr(ns, key, val)
+        payload, header, rows = _COMMANDS[ns.command][2](ns)
+        _render(payload, header, rows, ns)
+    except (CliError, OSError, ValueError, OverflowError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if getattr(ns, "require_feasible", False) and payload.get("feasible") is False:
+        print(f"infeasible: best residual {payload['p1p2']:.3e} at t={payload['t0']:.6f}",
+              file=sys.stderr)
         return 2
     return 0
-
-
-def _cmd_sweep(ns):
-    t_max = ns.t_max if ns.t_max is not None else DEFAULT_T_MAX
-    exps = [int(j) for j in (ns.threshold_exp or [6])]
-    (g_lo, g_hi, g_n), (gp_lo, gp_hi, gp_n) = _parse_grid(ns.grid or DEFAULT_GRID)
-    total = g_n * gp_n
-
-    def progress(done):
-        if done % 1000 == 0 or done == total:
-            print(f"cells {done}/{total}", file=sys.stderr)
-
-    try:
-        grids = sweep(
-            (g_lo, g_hi), (gp_lo, gp_hi), (g_n, gp_n), exps,
-            t_max=t_max, progress=progress,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc))
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "sweep",
-        "t_max": float(t_max),
-        "grids": [
-            {
-                "j": grid.threshold_exponent,
-                "g_values": [float(v) for v in grid.g_values],
-                "gprime_values": [float(v) for v in grid.gprime_values],
-                "cells": [
-                    [
-                        {
-                            "feasible": bool(c.feasible),
-                            "t0": float(c.t0),
-                            "p3": float(c.p3),
-                            "p1p2": float(c.p1p2),
-                        }
-                        for c in row
-                    ]
-                    for row in grid.cells
-                ],
-            }
-            for grid in grids
-        ],
-    }
-    lines = ["g,gprime,j,feasible,t0,p3,p1p2"]
-    for grid in grids:
-        for gi, g in enumerate(grid.g_values):
-            for pi, gp in enumerate(grid.gprime_values):
-                c = grid.cells[gi][pi]
-                lines.append(
-                    ",".join(
-                        [
-                            _fmt(g), _fmt(gp), str(grid.threshold_exponent),
-                            "true" if c.feasible else "false",
-                            _fmt(c.t0), _fmt(c.p3), _fmt(c.p1p2),
-                        ]
-                    )
-                )
-    _emit(payload, lines, ns)
-    return 0
-
-
-def _cmd_fig4(ns):
-    t_max = ns.t_max if ns.t_max is not None else DEFAULT_T_MAX
-    n_steps = ns.n_steps if ns.n_steps is not None else DEFAULT_N_STEPS
-    exps = ns.threshold_exp or [6]
-    threshold = 10.0 ** (-int(exps[0]))
-    if ns.g is not None:
-        triples = [(ns.g, ns.gprime if ns.gprime is not None else 0.0)]
-    else:
-        triples = list(PAPER_TRIPLES)
-    try:
-        params = [CouplingParams.symmetric(g, gp) for g, gp in triples]
-        bundles = emit_fig4_traces(params, t_max=t_max, n_steps=n_steps, threshold=threshold)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "fig4",
-        "threshold": threshold,
-        "bundles": [],
-    }
-    lines = [
-        "g,gprime,t,P1,P2,P3,P4,feasible,t0,p3_at_t0,p1p2_at_t0,"
-        "pi_over_gprime,pi_over_2gprime,dev_pi_over_gprime,dev_pi_over_2gprime"
-    ]
-    for bundle in bundles:
-        p = bundle.trace.params
-        res = bundle.result
-        payload["bundles"].append(
-            {
-                "g": _num(p.g1),
-                "gprime": _num(p.g_prime),
-                "feasible": bool(res.feasible),
-                "t0": float(res.t0),
-                "p3_at_t0": float(res.p3),
-                "p1p2_at_t0": float(res.p1p2),
-                "pi_over_gprime": _num(bundle.pi_over_gprime),
-                "pi_over_2gprime": _num(bundle.pi_over_2gprime),
-                "dev_pi_over_gprime": _num(bundle.dev_pi_over_gprime),
-                "dev_pi_over_2gprime": _num(bundle.dev_pi_over_2gprime),
-                "times": [float(t) for t in bundle.trace.times],
-                "rows": [[float(v) for v in row] for row in bundle.trace.probs],
-            }
-        )
-        annot = ",".join(
-            [
-                "true" if res.feasible else "false",
-                _fmt(res.t0), _fmt(res.p3), _fmt(res.p1p2),
-                _fmt(bundle.pi_over_gprime), _fmt(bundle.pi_over_2gprime),
-                _fmt(bundle.dev_pi_over_gprime), _fmt(bundle.dev_pi_over_2gprime),
-            ]
-        )
-        for t, row in zip(bundle.trace.times, bundle.trace.probs):
-            lines.append(
-                ",".join(
-                    [_fmt(p.g1), _fmt(p.g_prime), _fmt(t)]
-                    + [_fmt(v) for v in row]
-                )
-                + ","
-                + annot
-            )
-    _emit(payload, lines, ns)
-    return 0
-
-
-_COMMANDS = {
-    "eig": _cmd_eig,
-    "evolve": _cmd_evolve,
-    "trace": _cmd_trace,
-    "optimize": _cmd_optimize,
-    "sweep": _cmd_sweep,
-    "fig4": _cmd_fig4,
-}
-
-
-def main(argv=None):
-    parser = build_parser()
-    try:
-        ns = parser.parse_args(argv)
-        ns = _merge_config(ns)
-        return _COMMANDS[ns.command](ns)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 def entry():

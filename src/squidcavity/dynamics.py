@@ -34,6 +34,8 @@ DEFAULT_N_STEPS = 4001
 MAX_PHASE = 2.0**32
 # Largest time grid (trace steps, optimizer scan samples) allocated
 MAX_SAMPLES = 2**22
+# Most sweep results (cells x threshold exponents) held in memory
+MAX_CELLS = 2**16
 
 # phi-coordinates of the symmetric-sector vectors carrying F1, F2, F3, F4
 # (chi1+, chi2+, chi4+, chi3+), and of the antisymmetric chi vectors

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .dynamics import DEFAULT_N_STEPS, DEFAULT_T_MAX, MAX_SAMPLES, sector_modes, trace
+from .dynamics import DEFAULT_N_STEPS, DEFAULT_T_MAX, MAX_CELLS, MAX_SAMPLES, sector_modes, trace
 from .dynamics import _check_phase, _check_t_max
 
 SCAN_STEP_BASE = 0.01
@@ -253,9 +253,9 @@ def sweep(
 ):
     """One SweepGrid per threshold exponent over a (g, g') grid.
 
-    ``steps`` is an int (same count per axis) or a pair.  The per-cell scan
-    is shared across thresholds; results are forced monotone across
-    exponents (a point feasible at 10^-j stays available at looser ones).
+    ``steps`` is an int (same count per axis) or a pair.  Each cell is one
+    scan shared by all thresholds, and each of its results equals find_t0
+    at that threshold.  Grids over MAX_CELLS cell results are rejected.
     """
     from .model import CouplingParams
 
@@ -271,6 +271,11 @@ def sweep(
     exps = list(threshold_exponents)
     if not exps or any(int(j) != j or j < 1 for j in exps):
         raise ValueError("threshold exponents must be positive integers")
+    if len(set(exps)) != len(exps):
+        raise ValueError("threshold exponents must be distinct")
+    n = steps[0] * steps[1] * len(exps)
+    if n > MAX_CELLS:
+        raise ValueError(f"the sweep needs {n} cell results, more than {MAX_CELLS}: coarsen the grid")
 
     g_values = np.linspace(g_range[0], g_range[1], steps[0])
     gprime_values = np.linspace(gprime_range[0], gprime_range[1], steps[1])
@@ -281,26 +286,8 @@ def sweep(
         for gp in gprime_values:
             p = CouplingParams.symmetric(float(g), float(gp))
             data = _scan(p, t_max)
-            tightest_first = sorted(set(exps), reverse=True)
-            best = None
-            cell = {}
-            for j in tightest_first:
-                res = _find_from_scan(p, data, 10.0 ** (-j), t_max)
-                if best is not None and best.feasible and (
-                    not res.feasible or res.p3 < best.p3
-                ):
-                    # a point certified at a tighter threshold is still valid here
-                    res = OptimizeResult(
-                        params=p, threshold=10.0 ** (-j), t_max=t_max,
-                        feasible=True, t0=best.t0, p1p2=best.p1p2,
-                        p3=best.p3, p4=best.p4,
-                        pi_over_gprime=best.pi_over_gprime,
-                    )
-                if best is None or (res.feasible and res.p3 >= (best.p3 if best.feasible else -1.0)):
-                    best = res
-                cell[j] = res
             for j in exps:
-                rows[j].append(cell[j])
+                rows[j].append(_find_from_scan(p, data, 10.0 ** (-j), t_max))
             n_done += 1
             if progress is not None:
                 progress(n_done)

@@ -114,6 +114,26 @@ def test_config_file_merge(tmp_path, capsys):
     assert json.loads(out)["t"] == 0.25
 
 
+@pytest.mark.parametrize("command,cfg", [
+    ("optimize", {"g": 0.6, "threshold_exp": 6}),
+    ("fig4", {"g": 0.6, "threshold_exp": 6}),
+    ("evolve", {"g": 0.6, "t": "abc"}),
+    ("eig", {"g": "0.6"}),
+    ("trace", {"g": 0.6, "n_steps": 2.5}),
+    ("sweep", {"grid": 5}),
+    ("eig", {"g": 0.6, "format": "xml"}),
+    ("optimize", {"g": 0.6, "require_feasible": 1}),
+    ("evolve", {"g": True, "t": 1.0}),
+], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+def test_config_values_are_checked_like_flags(tmp_path, capsys, command, cfg):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, command, "--config", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_config_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"g": 1.0, "bogus": 3}))
@@ -154,8 +174,14 @@ POINT = ("--g", "0.6", "--gprime", "1.37")
     ("evolve", *POINT, "--t", "1e300"),
     ("trace", *POINT, "--t-max", "1e300", "--n-steps", "3"),
     ("optimize", *POINT, "--t-max", "1e300"),
+    ("optimize", *POINT, "--threshold-exp", "-400"),
+    ("fig4", *POINT, "--threshold-exp", "-400"),
+    ("optimize", *POINT, "--threshold-exp", "6", "--threshold-exp", "1"),
+    ("fig4", *POINT, "--threshold-exp", "6", "--threshold-exp", "1"),
+    ("sweep", "--grid", "0.5:1.0:2,0.5:1.0:3", "--threshold-exp", "1", "--threshold-exp", "1"),
+    ("sweep", "--grid", "0.1:1:1000000000000,0.1:1:2"),
 ], ids=lambda argv: " ".join(argv))
-def test_bad_times_are_errors(capsys, argv):
+def test_bad_times_are_errors(capsys, forbid_large_grids, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""

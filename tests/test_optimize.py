@@ -85,17 +85,20 @@ def test_validation():
         sweep((0.0, 1.0), (0.1, 1.0), 3, [3])
     with pytest.raises(ValueError):
         sweep((0.1, 1.0), (0.1, 1.0), 3, [0])
+    with pytest.raises(ValueError, match="distinct"):
+        sweep((0.5, 1.0), (0.5, 1.5), (2, 3), [1, 1])
 
 
 def test_sweep_single_cell_matches_find_t0():
-    g, gp = 0.6, 1.37
-    grids = sweep((g, g), (gp, gp), 1, [6], t_max=200.0)
-    assert len(grids) == 1
-    cell = grids[0].cells[0][0]
-    ref = find_t0(CouplingParams.symmetric(g, gp), 1e-6, t_max=200.0)
-    assert cell.feasible == ref.feasible
-    assert cell.t0 == ref.t0
-    assert cell.p3 == ref.p3
+    exps = [6, 3, 1]
+    grids = sweep((0.3, 0.9), (0.87, 1.87), 3, exps, t_max=200.0)  # (0.6, 1.37) in the middle
+    assert [grid.threshold_exponent for grid in grids] == exps
+    for grid in grids:
+        for i, g in enumerate(grid.g_values):
+            for k, gp in enumerate(grid.gprime_values):
+                cell = grid.cells[i][k]
+                ref = find_t0(CouplingParams.symmetric(g, gp), 10.0 ** -grid.threshold_exponent)
+                assert (cell.feasible, cell.t0, cell.p3) == (ref.feasible, ref.t0, ref.p3)
 
 
 def test_sweep_threshold_nesting():
@@ -204,6 +207,13 @@ def test_oversized_scans_are_rejected_before_allocation(forbid_large_grids):
         sweep((0.5, 1000.0), (0.5, 1.0), 2, [6])
     with pytest.raises(ValueError, match="samples"):
         find_t0(CouplingParams.symmetric(0.6, 1.37), 1e-6, t_max=1e9)
+
+
+def test_oversized_sweeps_are_rejected_before_allocation(forbid_large_grids):
+    with pytest.raises(ValueError, match="cell results"):
+        sweep((0.1, 1.0), (0.1, 1.0), (10**12, 2), [6])
+    with pytest.raises(ValueError, match="cell results"):
+        sweep((0.1, 1.0), (0.1, 1.0), (200, 200), [6, 1])
 
 
 def test_unresolvable_phases_are_rejected():
