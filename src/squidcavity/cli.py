@@ -56,11 +56,7 @@ def _line(row):
 _FLAGS = {
     "config": {"help": "JSON config file; flags override its values"},
     "g": {"type": float, "help": "symmetric cavity coupling (Omega units)"},
-    "gprime": {"type": float, "help": "auxiliary-SQUID coupling (Omega units)"},
-    "g1": {"type": float},
-    "g2": {"type": float},
-    "omega1": {"type": float},
-    "omega2": {"type": float},
+    "gprime": {"type": float, "help": "auxiliary-SQUID coupling (Omega units, default 0)"},
     "out": {"help": "output path (default: stdout)"},
     "format": {"choices": ("csv", "json")},
     "t": {"type": float, "help": "evolution time (1/Omega)"},
@@ -70,12 +66,12 @@ _FLAGS = {
     "require_feasible": {"action": "store_true"},
     "grid": {"help": '"gmin:gmax:n,gpmin:gpmax:n" (default %s)' % DEFAULT_GRID},
 }
-_COMMON = ("config", "g", "gprime", "g1", "g2", "omega1", "omega2", "out", "format")
+_COMMON = ("config", "out", "format")
+_POINT = ("g", "gprime")
 # resolved after the config merge, so that a config value can still fill them
 _DEFAULTS = {
     "t_max": DEFAULT_T_MAX, "n_steps": DEFAULT_N_STEPS, "threshold_exp": (6,), "grid": DEFAULT_GRID,
 }
-_CONFIG_KEYS = set(_FLAGS) - {"config"}
 # exact JSON types a config value may have, by the type its flag parses
 _JSON_TYPES = {float: (int, float), int: (int,), str: (str,), bool: (bool,)}
 
@@ -85,10 +81,11 @@ def build_parser():
         prog="squidcavity",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, extra, _) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=help_text)
+        sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for dest in _COMMON + extra:
             sp.add_argument("--" + dest.replace("_", "-"), **_FLAGS[dest])
     return parser
@@ -122,26 +119,21 @@ def _merge_config(ns):
         raise CliError(f"{path}:{exc.lineno}: {exc.msg}")
     if not isinstance(cfg, dict):
         raise CliError(f"{path}: config must be a JSON object")
-    unknown = set(cfg) - _CONFIG_KEYS
+    # the namespace holds exactly the destinations of this command's flags
+    unknown = set(cfg) - set(vars(ns)) - {"command", "config"}
     if unknown:
         raise CliError(f"{path}: unknown config keys: {sorted(unknown)}")
     for key, val in cfg.items():
         val = _config_value(path, key, val)
-        if getattr(ns, key, None) in (None, False):
+        if getattr(ns, key) in (None, False):
             setattr(ns, key, val)
     return ns
 
 
-def _resolve_params(ns):
-    general = [ns.g1, ns.g2, ns.omega1, ns.omega2]
-    gp = ns.gprime if ns.gprime is not None else 0.0
-    if any(v is not None for v in general):
-        if any(v is None for v in general):
-            raise CliError("--g1/--g2/--omega1/--omega2 must be given together")
-        return CouplingParams(g1=ns.g1, g2=ns.g2, omega1=ns.omega1, omega2=ns.omega2, g_prime=gp)
+def _point(ns):
     if ns.g is None:
-        raise CliError("--g is required (or the --g1/--g2/--omega1/--omega2 group)")
-    return CouplingParams.symmetric(ns.g, gp)
+        raise CliError("--g is required")
+    return CouplingParams.symmetric(ns.g, ns.gprime if ns.gprime is not None else 0.0)
 
 
 def _exponents(ns, single):
@@ -176,7 +168,7 @@ def _head(command, p):
 # Each command returns (JSON payload, CSV header, CSV rows); a row's cells
 # are formatted by type, so a constant run of columns can be one str cell.
 def _eig(ns):
-    p = _resolve_params(ns)
+    p = _point(ns)
     analytic = analytic_eigenvalues(p).tolist()
     print(UNIT_BANNER, file=sys.stderr)
     numeric = spectrum(p).tolist()
@@ -185,7 +177,7 @@ def _eig(ns):
 
 
 def _evolve(ns):
-    p = _resolve_params(ns)
+    p = _point(ns)
     if ns.t is None:
         raise CliError("--t is required for evolve")
     psi = evolve(p, ns.t)
@@ -197,7 +189,7 @@ def _evolve(ns):
 
 
 def _trace(ns):
-    p = _resolve_params(ns)
+    p = _point(ns)
     tr = trace(p, t_max=ns.t_max, n_steps=ns.n_steps)
     times, rows = tr.times.tolist(), tr.probs.tolist()
     payload = {**_head("trace", p), "times": times, "rows": rows}
@@ -206,7 +198,7 @@ def _trace(ns):
 
 
 def _optimize(ns):
-    p = _resolve_params(ns)
+    p = _point(ns)
     (j,) = _exponents(ns, single=True)
     res = find_t0(p, 10.0 ** (-j), t_max=ns.t_max)
     print(UNIT_BANNER, file=sys.stderr)
@@ -248,11 +240,10 @@ def _sweep(ns):
 def _fig4(ns):
     (j,) = _exponents(ns, single=True)
     threshold = 10.0 ** (-j)
-    if ns.g is not None:
-        triples = [(ns.g, ns.gprime if ns.gprime is not None else 0.0)]
+    if ns.g is None and ns.gprime is None:
+        params = [CouplingParams.symmetric(g, gp) for g, gp in PAPER_TRIPLES]
     else:
-        triples = PAPER_TRIPLES
-    params = [CouplingParams.symmetric(g, gp) for g, gp in triples]
+        params = [_point(ns)]
     bundles = emit_fig4_traces(params, t_max=ns.t_max, n_steps=ns.n_steps, threshold=threshold)
     out, rows = [], []
     for b in bundles:
@@ -273,17 +264,17 @@ def _fig4(ns):
     return payload, header, rows
 
 
-# name: (help, flags besides _COMMON, handler)
+# name: (help, flags besides _COMMON, handler); each command has the flags it reads
 _COMMANDS = {
-    "eig": ("analytic and numeric spectrum for (g, g')", (), _eig),
-    "evolve": ("state amplitudes and P1..P4 at one time", ("t",), _evolve),
-    "trace": ("time trace; CSV columns t,P1,P2,P3,P4,sum", ("t_max", "n_steps"), _trace),
+    "eig": ("analytic and numeric spectrum for (g, g')", _POINT, _eig),
+    "evolve": ("state amplitudes and P1..P4 at one time", (*_POINT, "t"), _evolve),
+    "trace": ("time trace; CSV columns t,P1,P2,P3,P4,sum", (*_POINT, "t_max", "n_steps"), _trace),
     "optimize": ("best measurement time for one (g, g')",
-                 ("t_max", "threshold_exp", "require_feasible"), _optimize),
+                 (*_POINT, "t_max", "threshold_exp", "require_feasible"), _optimize),
     "sweep": ("feasibility map; CSV columns g,gprime,j,feasible,t0,p3,p1p2",
               ("t_max", "threshold_exp", "grid"), _sweep),
-    "fig4": ("trace bundle with annotated t0 for the paper-style triples",
-             ("t_max", "n_steps", "threshold_exp"), _fig4),
+    "fig4": ("annotated trace bundle for (g, g'), or for the paper pairs without either",
+             (*_POINT, "t_max", "n_steps", "threshold_exp"), _fig4),
 }
 
 def _render(payload, header, rows, ns):

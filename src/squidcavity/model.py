@@ -15,6 +15,8 @@ import numpy as np
 from .linalg import hermitian_eig
 
 SQRT2 = np.sqrt(2.0)
+# Largest coupling accepted: at Omega = 1, eta = 1 + 2 g^2 + g'^2 and eta^2 stay finite
+MAX_COUPLING = 1e75
 
 
 class ExchangeSymmetryError(ValueError):
@@ -39,8 +41,8 @@ class CouplingParams:
     def __post_init__(self):
         for name in ("g1", "g2", "omega1", "omega2", "g_prime"):
             val = getattr(self, name)
-            if not np.isfinite(val) or val < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {val}")
+            if not 0.0 <= val <= MAX_COUPLING:
+                raise ValueError(f"{name} must lie in [0, {MAX_COUPLING:g}], got {val}")
 
     @classmethod
     def symmetric(cls, g, g_prime):
@@ -213,7 +215,7 @@ def analytic_eigenvalues(p):
     """Closed-form spectrum of the 6x6 Hamiltonian for identical SQUIDs.
 
     Returns the six values ascending: {-E1, -1, -E3, E3, 1, E1} with
-    E1, E3 from eta = 1 + 2 g^2 + g'^2 (all in drive units).
+    E1 from eta = 1 + 2 g^2 + g'^2 and E3 = g'/E1 (all in drive units).
     """
     if not p.is_symmetric:
         raise ExchangeSymmetryError("analytic spectrum requires identical SQUIDs")
@@ -232,7 +234,7 @@ def analytic_eigenvalues(p):
         )
     root = np.sqrt(max(radicand, 0.0))
     e1 = np.sqrt((eta + root) / 2.0)
-    e3 = np.sqrt((eta - root) / 2.0)
+    e3 = gp / e1  # E1 E3 = g' (eta - root would cancel)
     return om * np.sort(np.array([-e1, -1.0, -e3, e3, 1.0, e1]))
 
 

@@ -79,13 +79,19 @@ def _scan_setup(p, t_max):
 
 
 def _scan(p, t_max):
-    """Dense deterministic scan over [_T_FLOOR, t_max]: the modes and a
-    point table with rows t, r = P1 + P2, P3, P4."""
+    """Dense deterministic scan over [_T_FLOOR, t_max].
+
+    Returns ``(w, e, pts, dip_i, dips)``: the modes, a point table with rows
+    t, r = P1 + P2, P3, P4, the sample indices of the 3-point minima of r and
+    the point table of their Newton-refined minima.
+    """
     w, e, n = _scan_setup(p, t_max)
     times = np.linspace(0.0, t_max, n + 1)
     times[0] = min(_T_FLOOR, times[1])
     p1, p2, p3, p4 = _kernels.scan_probs(w, e, times)
-    return {"w": w, "e": e, "pts": np.vstack((times, p1 + p2, p3, p4))}
+    pts = np.vstack((times, p1 + p2, p3, p4))
+    dip_i = _peaks(-pts[1])
+    return w, e, pts, dip_i, _solve(w, e, _DIP, *_around(times, dip_i), 0.0)
 
 
 def _peaks(x):
@@ -172,14 +178,6 @@ def _solve(w, e, kind, lo, hi, level):
     return out
 
 
-def _dips(data):
-    """Newton-refined 3-point minima of r, as a point table with their
-    sample indices."""
-    times, r = data["pts"][0], data["pts"][1]
-    idx = _peaks(-r)
-    return idx, _solve(data["w"], data["e"], _DIP, *_around(times, idx), 0.0)
-
-
 def _result(p, threshold, t_max, feasible, row):
     gp = p.g_prime
     return OptimizeResult(
@@ -189,12 +187,9 @@ def _result(p, threshold, t_max, feasible, row):
     )
 
 
-def _find_from_scan(p, data, threshold, t_max):
-    w, e, pts = data["w"], data["e"], data["pts"]
+def _find_from_scan(p, scan, threshold, t_max):
+    w, e, pts, dip_i, dips = scan
     times, r, p3 = pts[0], pts[1], pts[2]
-    if "dips" not in data:
-        data["dips"] = _dips(data)
-    dip_i, dips = data["dips"]
 
     feas = r <= threshold
     dip_feas = dips[1] <= threshold
@@ -279,28 +274,24 @@ def sweep(
 
     g_values = np.linspace(g_range[0], g_range[1], steps[0])
     gprime_values = np.linspace(gprime_range[0], gprime_range[1], steps[1])
-    per_exp = {j: [] for j in exps}
-    n_done = 0
+    # one list of results per cell (one result per exponent), row-major
+    results = []
     for g in g_values:
-        rows = {j: [] for j in exps}
         for gp in gprime_values:
             p = CouplingParams.symmetric(float(g), float(gp))
-            data = _scan(p, t_max)
-            for j in exps:
-                rows[j].append(_find_from_scan(p, data, 10.0 ** (-j), t_max))
-            n_done += 1
+            scan = _scan(p, t_max)
+            results.append([_find_from_scan(p, scan, 10.0 ** (-j), t_max) for j in exps])
             if progress is not None:
-                progress(n_done)
-        for j in exps:
-            per_exp[j].append(tuple(rows[j]))
+                progress(len(results))
+    rows = [results[i:i + steps[1]] for i in range(0, len(results), steps[1])]
     return [
         SweepGrid(
             g_values=g_values,
             gprime_values=gprime_values,
             threshold_exponent=int(j),
-            cells=tuple(per_exp[j]),
+            cells=tuple(tuple(cell[k] for cell in row) for row in rows),
         )
-        for j in exps
+        for k, j in enumerate(exps)
     ]
 
 

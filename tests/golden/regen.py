@@ -23,7 +23,6 @@ HERE = Path(__file__).resolve().parent
 
 POINT = ("--g", "0.6", "--gprime", "1.37")
 UNCOUPLED = ("--g", "0.5", "--gprime", "0")
-GENERAL = ("--g1", "0.5", "--g2", "0.5", "--omega1", "1", "--omega2", "1", "--gprime", "1")
 SWEEP = ("sweep", "--grid", "0.5:1.5:3,0.6:1.4:2", "--threshold-exp", "6",
          "--threshold-exp", "1", "--t-max", "60")
 
@@ -31,10 +30,8 @@ CASES = {
     "eig-json": ("eig", *POINT),
     "eig-csv": ("eig", *POINT, "--format", "csv"),
     "eig-uncoupled-csv": ("eig", *UNCOUPLED, "--format", "csv"),
-    "eig-general-json": ("eig", *GENERAL),
     "evolve-json": ("evolve", *POINT, "--t", "3.5"),
     "evolve-csv": ("evolve", *POINT, "--t", "3.5", "--format", "csv"),
-    "evolve-general-csv": ("evolve", *GENERAL, "--t", "1", "--format", "csv"),
     "trace-json": ("trace", *POINT, "--t-max", "10", "--n-steps", "11"),
     "trace-csv": ("trace", *POINT, "--t-max", "40", "--n-steps", "41", "--format", "csv"),
     "optimize-json": ("optimize", *POINT),

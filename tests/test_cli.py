@@ -180,6 +180,13 @@ POINT = ("--g", "0.6", "--gprime", "1.37")
     ("fig4", *POINT, "--threshold-exp", "6", "--threshold-exp", "1"),
     ("sweep", "--grid", "0.5:1.0:2,0.5:1.0:3", "--threshold-exp", "1", "--threshold-exp", "1"),
     ("sweep", "--grid", "0.1:1:1000000000000,0.1:1:2"),
+    ("eig", "--g", "1e200", "--gprime", "1"),
+    ("eig", "--g", "1", "--gprime", "1e200"),
+    ("evolve", "--g", "1e200", "--t", "1"),
+    ("trace", "--g", "1e200"),
+    ("optimize", "--g", "1e200"),
+    ("fig4", "--g", "1e200"),
+    ("sweep", "--grid", "0.1:1e200:2,0.1:1:2"),
 ], ids=lambda argv: " ".join(argv))
 def test_bad_times_are_errors(capsys, forbid_large_grids, argv):
     code, out, err = run(capsys, *argv)
@@ -188,15 +195,30 @@ def test_bad_times_are_errors(capsys, forbid_large_grids, argv):
     assert err.startswith("error:")
 
 
-def test_general_couplings(capsys):
-    code, out, _ = run(capsys, "evolve", "--g1", "0.5", "--g2", "0.5",
-                       "--omega1", "1.0", "--omega2", "1.0",
-                       "--gprime", "1.0", "--t", "1.0")
-    assert code == 0
-    sym_code, sym_out, _ = run(capsys, "evolve", "--g", "0.5",
-                               "--gprime", "1.0", "--t", "1.0")
-    assert sym_code == 0
-    assert json.loads(out)["amplitudes"] == json.loads(sym_out)["amplitudes"]
+GENERAL = ("--g1", "0.5", "--g2", "0.5", "--omega1", "1", "--omega2", "1", "--gprime", "1")
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--grid", "0.5:1:2,0.5:1:2", "--g", "5"),
+    ("sweep", "--grid", "0.5:1:2,0.5:1:2", "--gprime", "3"),
+    ("fig4", *GENERAL),
+    ("fig4", "--gprime", "1.5"),
+    ("eig", "--g1", "1", "--g2", "1", "--omega1", "2", "--omega2", "2", "--gprime", "1"),
+    ("trace", *POINT, "--t", "5"),
+    ("optimize", *POINT, "--thr", "1"),
+    ("eig", "--config", {"g1": 0.5, "g2": 0.5, "omega1": 1.0, "omega2": 1.0, "gprime": 1.0}),
+    ("sweep", "--grid", "0.5:1:2,0.5:1:2", "--config", {"g": 1.0}),
+], ids=lambda argv: " ".join(a if isinstance(a, str) else json.dumps(a) for a in argv))
+def test_commands_take_only_the_flags_they_read(tmp_path, capsys, argv):
+    # a dict stands for a config file holding it
+    path = tmp_path / "run.json"
+    for arg in argv:
+        if isinstance(arg, dict):
+            path.write_text(json.dumps(arg))
+    code, out, err = run(capsys, *(str(path) if isinstance(a, dict) else a for a in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_out_file(tmp_path, capsys):

@@ -210,6 +210,15 @@ def test_analytic_vs_numeric_random(rng):
         assert np.max(np.abs(vals - numeric)) < 1e-10
 
 
+def test_analytic_vs_numeric_log_grid(rng):
+    # E3 = g'/E1 has no cancellation: large g or g' keeps it exact
+    for g, gp in 10.0 ** rng.uniform(-3.0, 4.0, (2000, 2)):
+        p = CouplingParams.symmetric(g, gp)
+        numeric = hermitian_eig(build_h_full(p)).eigenvalues
+        err = np.abs(analytic_eigenvalues(p) - numeric) / np.maximum(1.0, np.abs(numeric))
+        assert np.max(err) < 1e-12, (g, gp)
+
+
 def test_target_states():
     c, d, labels = target_states()
     assert abs(np.linalg.norm(c) - 1) < 1e-15
@@ -245,5 +254,8 @@ def test_params_validation():
         CouplingParams(-1.0, 1.0, 1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         CouplingParams(np.inf, 1.0, 1.0, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        CouplingParams.symmetric(1.0, 1e200)
+    assert np.all(np.isfinite(analytic_eigenvalues(CouplingParams.symmetric(1e75, 1e75))))
     assert CouplingParams.symmetric(1.0, 0.5).is_symmetric
     assert not CouplingParams(1.0, 2.0, 1.0, 1.0, 0.0).is_symmetric
