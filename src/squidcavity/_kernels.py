@@ -9,6 +9,8 @@ columns cos E1 t, cos E3 t, sin E1 t, sin E3 t) the amplitudes are
 so every probability is the square of a real two-term series.
 """
 
+import math
+
 import numpy as np
 
 
@@ -40,3 +42,28 @@ def scan_probs(w, e, times):
     a = mode_amplitudes(w, e, times)
     a *= a
     return a[0], a[1], a[2], a[3]
+
+
+def grid_probs(w, e, t_end, m):
+    """P1..P4 as the rows of one (4, m) array at t_j = j h, h = t_end / (m - 1).
+
+    With j = q B + s and B = ceil(sqrt(m)), cos/sin are taken only at the
+    phases e q B h and e s h.  Angle addition, cos(a + b) = cos a cos b -
+    sin a sin b, turns them into one (4Q x 4) @ (4 x B) product written into
+    the result buffer, so a grid of m >= 2 points costs O(sqrt m)
+    trigonometric calls.
+    """
+    h = t_end / (m - 1)
+    b = math.isqrt(m - 1) + 1  # ceil(sqrt(m))
+    q = -(-m // b)
+    ph = np.multiply.outer(e, np.arange(q) * (b * h)).T
+    cq, sq = np.cos(ph), np.sin(ph)
+    wc, ws = w[:, None, :2], w[:, None, 2:]
+    # a_k = sum_i (wc cq + ws sq)_i cos(e_i s h) + (ws cq - wc sq)_i sin(e_i s h)
+    left = np.concatenate((wc * cq + ws * sq, ws * cq - wc * sq), axis=2)
+    ph = np.multiply.outer(e, np.arange(b) * h)
+    out = np.empty((4, q * b))
+    right = np.concatenate((np.cos(ph), np.sin(ph)))
+    np.matmul(left.reshape(4 * q, 4), right, out=out.reshape(4 * q, b))
+    out *= out
+    return out[:, :m]

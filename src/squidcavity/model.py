@@ -8,6 +8,7 @@ the auxiliary qubit is 5-dimensional (psi basis); with it, 6-dimensional
 into a 2x2 antisymmetric block and a 4x4 symmetric block.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,28 +215,25 @@ def block_decompose(p):
 def analytic_eigenvalues(p):
     """Closed-form spectrum of the 6x6 Hamiltonian for identical SQUIDs.
 
-    Returns the six values ascending: {-E1, -1, -E3, E3, 1, E1} with
-    E1 from eta = 1 + 2 g^2 + g'^2 and E3 = g'/E1 (all in drive units).
+    Returns the six values ascending: {-E1, -Omega, -E3, E3, Omega, E1} with
+    E1^2 = (eta + sqrt(eta^2 - 4 g'^2 Omega^2)) / 2, eta = Omega^2 + 2 g^2 +
+    g'^2, and E3 = g' Omega / E1.  The couplings are first scaled exactly by
+    the power of two s >= max(g, g', Omega), so no square can overflow.
     """
     if not p.is_symmetric:
         raise ExchangeSymmetryError("analytic spectrum requires identical SQUIDs")
-    om = p.omega1
-    if om == 0.0:
-        if p.g1 == 0.0 and p.g_prime == 0.0:
-            return np.zeros(6)
-        raise ValueError("closed form requires a nonzero drive coupling")
-    g = p.g1 / om
-    gp = p.g_prime / om
-    eta = 1.0 + 2.0 * g * g + gp * gp
-    radicand = eta * eta - 4.0 * gp * gp
-    if radicand < -1e-12:
-        raise ArithmeticError(
-            f"negative radicand {radicand:.3e} in closed-form spectrum"
-        )
-    root = np.sqrt(max(radicand, 0.0))
+    top = max(p.g1, p.g_prime, p.omega1)
+    if top == 0.0:
+        return np.zeros(6)
+    k = math.frexp(top)[1]
+    g, gp, om = (math.ldexp(v, -k) for v in (p.g1, p.g_prime, p.omega1))
+    eta = om * om + 2.0 * g * g + gp * gp
+    # eta^2 - 4 g'^2 Omega^2 = ((g' - Omega)^2 + 2 g^2)((g' + Omega)^2 + 2 g^2):
+    # no cancellation at E1 = E3
+    root = np.sqrt(((gp - om) ** 2 + 2.0 * g * g) * ((gp + om) ** 2 + 2.0 * g * g))
     e1 = np.sqrt((eta + root) / 2.0)
-    e3 = gp / e1  # E1 E3 = g' (eta - root would cancel)
-    return om * np.sort(np.array([-e1, -1.0, -e3, e3, 1.0, e1]))
+    e3 = gp * om / e1  # E1 E3 = g' Omega (eta - root would cancel)
+    return np.ldexp(np.sort(np.array([-e1, -om, -e3, e3, om, e1])), k)
 
 
 def dark_state(p):

@@ -87,9 +87,12 @@ def _scan(p, t_max):
     """
     w, e, n = _scan_setup(p, t_max)
     times = np.linspace(0.0, t_max, n + 1)
+    # rows P1..P4 become t, r, P3, P4 in place; the times then live in row 0 only
+    pts = _kernels.grid_probs(w, e, t_max, n + 1)
+    pts[1] += pts[0]
+    pts[0] = times
+    times = pts[0]
     times[0] = min(_T_FLOOR, times[1])
-    p1, p2, p3, p4 = _kernels.scan_probs(w, e, times)
-    pts = np.vstack((times, p1 + p2, p3, p4))
     dip_i = _peaks(-pts[1])
     return w, e, pts, dip_i, _solve(w, e, _DIP, *_around(times, dip_i), 0.0)
 

@@ -214,6 +214,22 @@ def test_mode_derivatives_match_central_differences(g, gp):
     assert all(np.allclose(s, v[:, 2], rtol=0, atol=1e-14) for s, v in zip(scalar, (a, da, dda)))
 
 
+@pytest.mark.parametrize("m", [2, 3, 16, 17, 27401])
+@pytest.mark.parametrize("p", [
+    CouplingParams.symmetric(0.6, 1.37),
+    CouplingParams.symmetric(0.0, 1.3),
+    CouplingParams.symmetric(0.7, 0.0),
+    CouplingParams.symmetric(0.0, 1.0),  # E1 = E3
+    CouplingParams(0.8, 0.8, 2.3, 2.3, 1.1),
+], ids=lambda p: f"g={p.g1:.3g},gp={p.g_prime:.3g},om={p.omega1:.3g}")
+def test_grid_probs_match_mode_amplitudes(p, m):
+    w, e = sector_modes(p)
+    h = 200.0 / (m - 1)
+    probs = _kernels.grid_probs(w, e, 200.0, m)
+    assert probs.shape == (4, m)
+    assert np.max(np.abs(probs - _kernels.mode_amplitudes(w, e, np.arange(m) * h) ** 2)) <= 1e-12
+
+
 def test_unresolvable_times_and_oversized_grids_are_rejected(forbid_large_grids):
     p = CouplingParams.symmetric(0.6, 1.37)
     _, e = sector_modes(p)

@@ -14,6 +14,7 @@ from squidcavity.model import (
     dark_state_full,
     enumerate_basis,
     entangled_state_general,
+    spectrum,
     symmetry_transform,
     target_states,
 )
@@ -217,6 +218,19 @@ def test_analytic_vs_numeric_log_grid(rng):
         numeric = hermitian_eig(build_h_full(p)).eigenvalues
         err = np.abs(analytic_eigenvalues(p) - numeric) / np.maximum(1.0, np.abs(numeric))
         assert np.max(err) < 1e-12, (g, gp)
+
+
+def test_analytic_eigenvalues_do_not_overflow_for_small_omega():
+    # g/Omega reaches 1e85, whose square overflows; g' = Omega with g = 1e-10 is E1 ~ E3
+    values = (0.0, 1e-10, 1e-3, 1.0, 1e3, 1e10, 1e75)
+    for g in values:
+        for gp in values:
+            for om in (0.0, 1e-10, 1.0, 1e10):
+                p = CouplingParams(g, g, om, om, gp)
+                vals = analytic_eigenvalues(p)
+                numeric = spectrum(p)
+                assert np.all(np.isfinite(vals)), (g, gp, om)
+                assert np.max(np.abs(vals - numeric)) <= 1e-12 * np.max(np.abs(numeric)), (g, gp, om)
 
 
 def test_target_states():

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,7 +180,7 @@ def _count_kernel_calls(monkeypatch):
     mode_amplitudes itself)."""
     calls = [0]
     depth = [0]
-    for name in ("mode_amplitudes", "mode_derivatives", "scan_probs"):
+    for name in ("mode_amplitudes", "mode_derivatives", "scan_probs", "grid_probs"):
         def counted(*args, _fn=getattr(_kernels, name)):
             calls[0] += depth[0] == 0
             depth[0] += 1
@@ -197,6 +198,33 @@ def test_kernel_evaluations_per_find_t0(monkeypatch, g, gp, threshold):
     calls = _count_kernel_calls(monkeypatch)
     find_t0(CouplingParams.symmetric(g, gp), threshold)
     assert 1 <= calls[0] <= 40
+
+
+@pytest.mark.parametrize("g,gp", [(0.6, 1.37), (2.95, 1.10), (0.7, 0.0)])
+def test_scan_table_is_the_grid_evaluation(g, gp):
+    p = CouplingParams.symmetric(g, gp)
+    w, e, n = opt._scan_setup(p, 200.0)
+    pts = opt._scan(p, 200.0)[2]
+    times = np.linspace(0.0, 200.0, n + 1)
+    times[0] = opt._T_FLOOR
+    probs = _kernels.grid_probs(w, e, 200.0, n + 1)
+    assert np.array_equal(pts[0], times)
+    assert np.array_equal(pts[1], probs[0] + probs[1])
+    assert np.array_equal(pts[2:], probs[2:])
+
+
+@pytest.mark.parametrize("threshold", [1e-6, 1e-1])
+@pytest.mark.parametrize("g,gp", [(0.6, 1.37), (2.95, 1.10)])
+def test_find_t0_peak_memory_is_bounded_by_the_point_table(g, gp, threshold):
+    p = CouplingParams.symmetric(g, gp)
+    table = 32 * (opt._scan_setup(p, 200.0)[2] + 1)  # 4 float64 rows of n + 1 samples
+    tracemalloc.start()
+    try:
+        find_t0(p, threshold)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * table
 
 
 def test_oversized_scans_are_rejected_before_allocation(forbid_large_grids):
