@@ -37,13 +37,6 @@ def mode_derivatives(w, e, times):
     return rows[:4], rows[4:8], rows[8:]
 
 
-def scan_probs(w, e, times):
-    """P1, P2, P3, P4 along ``times`` for mode weights ``w`` and frequencies ``e``."""
-    a = mode_amplitudes(w, e, times)
-    a *= a
-    return a[0], a[1], a[2], a[3]
-
-
 def grid_probs(w, e, t_end, m):
     """P1..P4 as the rows of one (4, m) array at t_j = j h, h = t_end / (m - 1).
 

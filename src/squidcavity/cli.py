@@ -139,8 +139,9 @@ def _point(ns):
 def _exponents(ns, single):
     """The --threshold-exp values, checked alike for every command."""
     exps = ns.threshold_exp
-    if not exps or min(exps) < 1:
-        raise CliError("threshold exponents must be positive integers")
+    # 10^-j underflows to 0 for j >= 324; a threshold must lie in (0, 1)
+    if not exps or not all(j >= 1 and 10.0 ** (-j) > 0.0 for j in exps):
+        raise CliError("each --threshold-exp j must be a positive integer with 10^-j > 0")
     if single and len(exps) > 1:
         raise CliError(f"{ns.command} takes one --threshold-exp")
     return exps

@@ -22,7 +22,6 @@ from . import _kernels
 from .linalg import DimensionError
 from .model import (
     CouplingParams,
-    ExchangeSymmetryError,
     SQRT2,
     dark_state_full,
     symmetry_transform,
@@ -34,8 +33,6 @@ DEFAULT_N_STEPS = 4001
 MAX_PHASE = 2.0**32
 # Largest time grid (trace steps, optimizer scan samples) allocated
 MAX_SAMPLES = 2**22
-# Most sweep results (cells x threshold exponents) held in memory
-MAX_CELLS = 2**16
 
 # phi-coordinates of the symmetric-sector vectors carrying F1, F2, F3, F4
 # (chi1+, chi2+, chi4+, chi3+), and of the antisymmetric chi vectors
@@ -69,19 +66,8 @@ class EvolutionTrace:
     leakage: np.ndarray
 
     @property
-    def rows(self):
-        return self.probs
-
-    @property
     def p3(self):
         return self.probs[:, 2]
-
-
-def _require_symmetric(p):
-    if not p.is_symmetric:
-        raise ExchangeSymmetryError(
-            "the protocol assumes identical SQUIDs (g1 = g2, omega1 = omega2)"
-        )
 
 
 def sector_modes(p):
@@ -92,8 +78,7 @@ def sector_modes(p):
     columns cos(E1 t), cos(E3 t), sin(E1 t), sin(E3 t).  The amplitudes are
     F1 = a1, F2 = -i a2, F3 = a3, F4 = -i a4 with ``a = w @ basis(t)``.
     """
-    _require_symmetric(p)
-    b = np.array([[SQRT2 * p.g1, p.g_prime], [p.omega1, 0.0]])
+    b = np.array([[SQRT2 * p.g, p.g_prime], [p.omega1, 0.0]])
     u, e, vt = np.linalg.svd(b)
     x = (_F_VECTORS[[0, 2]] @ dark_state_full(p)).real
     c = u.T @ x
@@ -154,7 +139,7 @@ def trace(p, t_max=DEFAULT_T_MAX, n_steps=DEFAULT_N_STEPS):
     w, e = sector_modes(p)
     _check_phase(e, t_max)
     times = np.linspace(0.0, t_max, n_steps)
-    probs = np.stack(_kernels.scan_probs(w, e, times), axis=1)
+    probs = _kernels.grid_probs(w, e, t_max, n_steps).T
     return EvolutionTrace(
         params=p, times=times, probs=probs, leakage=np.zeros(n_steps)
     )

@@ -56,7 +56,9 @@ class CouplingParams:
     @property
     def g(self):
         if not self.is_symmetric:
-            raise ExchangeSymmetryError("g is only defined for identical SQUIDs")
+            raise ExchangeSymmetryError(
+                "the protocol assumes identical SQUIDs (g1 = g2, omega1 = omega2)"
+            )
         return self.g1
 
 
@@ -192,11 +194,7 @@ def block_decompose(p):
     Requires identical SQUIDs; the blocks are built directly in the chi
     basis so their entries are exact.
     """
-    if not p.is_symmetric:
-        raise ExchangeSymmetryError(
-            "block decomposition requires g1 = g2 and omega1 = omega2"
-        )
-    g = p.g1
+    g = p.g
     om = p.omega1
     gp = p.g_prime
     h2 = np.array([[0, om], [om, 0]], dtype=np.complex128)
@@ -220,9 +218,7 @@ def analytic_eigenvalues(p):
     g'^2, and E3 = g' Omega / E1.  The couplings are first scaled exactly by
     the power of two s >= max(g, g', Omega), so no square can overflow.
     """
-    if not p.is_symmetric:
-        raise ExchangeSymmetryError("analytic spectrum requires identical SQUIDs")
-    top = max(p.g1, p.g_prime, p.omega1)
+    top = max(p.g, p.g_prime, p.omega1)
     if top == 0.0:
         return np.zeros(6)
     k = math.frexp(top)[1]
@@ -236,12 +232,23 @@ def analytic_eigenvalues(p):
     return np.ldexp(np.sort(np.array([-e1, -om, -e3, e3, om, e1])), k)
 
 
+def _scaled_products(*pairs):
+    """The products a*b of ``pairs``, all times one power of two that puts the
+    largest in [1/4, 1).  Each factor is split into mantissa and exponent
+    first, so a product vanishes only below 2^-1074 of the largest, and the
+    scaling is exact: normalizing the result is scale-free."""
+    parts = [(ma * mb, ea + eb)
+             for (ma, ea), (mb, eb) in ((math.frexp(a), math.frexp(b)) for a, b in pairs)]
+    top = max((e for m, e in parts if m), default=0)
+    return [math.ldexp(m, e - top) for m, e in parts]
+
+
 def dark_state(p):
     """Normalized zero-eigenvalue state of H0, psi basis (5 amplitudes)."""
-    c_photon = -p.omega1 * p.omega2
-    c_s1 = p.omega2 * p.g1
-    c_s2 = p.omega1 * p.g2
-    norm = np.sqrt(c_photon**2 + c_s1**2 + c_s2**2)
+    c_photon, c_s1, c_s2 = _scaled_products(
+        (-p.omega1, p.omega2), (p.omega2, p.g1), (p.omega1, p.g2)
+    )
+    norm = np.sqrt(c_photon * c_photon + c_s1 * c_s1 + c_s2 * c_s2)
     if norm == 0.0:
         raise DarkStateUndefinedError(
             "dark state undefined: omega2*g1, omega1*g2 and omega1*omega2 all vanish"
@@ -274,8 +281,7 @@ def target_states():
 def entangled_state_general(p):
     """Post-measurement two-SQUID state for general couplings, over
     TWO_SQUID_BASIS (support on the first two labels)."""
-    c1 = p.omega2 * p.g1
-    c2 = p.omega1 * p.g2
+    c1, c2 = _scaled_products((p.omega2, p.g1), (p.omega1, p.g2))
     norm = np.sqrt(c1 * c1 + c2 * c2)
     if norm == 0.0:
         raise ValueError("entangled state undefined: both coefficients vanish")

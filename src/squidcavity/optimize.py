@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .dynamics import DEFAULT_N_STEPS, DEFAULT_T_MAX, MAX_CELLS, MAX_SAMPLES, sector_modes, trace
+from .dynamics import DEFAULT_N_STEPS, DEFAULT_T_MAX, MAX_SAMPLES, sector_modes, trace
 from .dynamics import _check_phase, _check_t_max
+from .model import CouplingParams
 
 SCAN_STEP_BASE = 0.01
 P3_TIE_TOL = 1e-9
@@ -23,6 +24,8 @@ _X_TOL = 1e-12
 _MAX_ITER = 100
 # equations a solve can carry: r' = 0, r = level, P3' = 0
 _DIP, _EDGE, _P3MAX = 0, 1, 2
+# Most sweep results (cells x threshold exponents) held in memory
+MAX_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -56,14 +59,27 @@ class SweepGrid:
 
 @dataclass(frozen=True)
 class Fig4Trace:
-    """Evolution trace plus the annotated optimal measurement time."""
+    """Evolution trace plus the annotated optimal measurement time and its
+    offsets from the result's pi/g' and pi/(2 g')."""
 
     trace: object
     result: OptimizeResult
-    pi_over_gprime: float
-    pi_over_2gprime: float
-    dev_pi_over_gprime: float
-    dev_pi_over_2gprime: float
+
+    @property
+    def pi_over_gprime(self):
+        return self.result.pi_over_gprime
+
+    @property
+    def pi_over_2gprime(self):
+        return self.result.pi_over_gprime / 2.0
+
+    @property
+    def dev_pi_over_gprime(self):
+        return abs(self.result.t0 - self.pi_over_gprime)
+
+    @property
+    def dev_pi_over_2gprime(self):
+        return abs(self.result.t0 - self.pi_over_2gprime)
 
 
 def _scan_setup(p, t_max):
@@ -233,10 +249,14 @@ def _find_from_scan(p, scan, threshold, t_max):
     return _result(p, threshold, t_max, True, cand[:, near][:, np.argmin(cand[0, near])])
 
 
-def find_t0(p, threshold, t_max=DEFAULT_T_MAX):
-    """Best measurement time under the entanglement-condition threshold."""
+def _check_threshold(threshold):
     if not (0.0 < threshold < 1.0):
         raise ValueError("threshold must lie in (0, 1)")
+
+
+def find_t0(p, threshold, t_max=DEFAULT_T_MAX):
+    """Best measurement time under the entanglement-condition threshold."""
+    _check_threshold(threshold)
     _check_t_max(t_max)
     return _find_from_scan(p, _scan(p, t_max), threshold, t_max)
 
@@ -255,8 +275,6 @@ def sweep(
     scan shared by all thresholds, and each of its results equals find_t0
     at that threshold.  Grids over MAX_CELLS cell results are rejected.
     """
-    from .model import CouplingParams
-
     if isinstance(steps, int):
         steps = (steps, steps)
     if steps[0] < 1 or steps[1] < 1:
@@ -271,6 +289,9 @@ def sweep(
         raise ValueError("threshold exponents must be positive integers")
     if len(set(exps)) != len(exps):
         raise ValueError("threshold exponents must be distinct")
+    thresholds = [10.0 ** (-j) for j in exps]
+    for threshold in thresholds:
+        _check_threshold(threshold)
     n = steps[0] * steps[1] * len(exps)
     if n > MAX_CELLS:
         raise ValueError(f"the sweep needs {n} cell results, more than {MAX_CELLS}: coarsen the grid")
@@ -283,7 +304,7 @@ def sweep(
         for gp in gprime_values:
             p = CouplingParams.symmetric(float(g), float(gp))
             scan = _scan(p, t_max)
-            results.append([_find_from_scan(p, scan, 10.0 ** (-j), t_max) for j in exps])
+            results.append([_find_from_scan(p, scan, th, t_max) for th in thresholds])
             if progress is not None:
                 progress(len(results))
     rows = [results[i:i + steps[1]] for i in range(0, len(results), steps[1])]
@@ -305,20 +326,7 @@ def emit_fig4_traces(
     threshold=1e-6,
 ):
     """Traces plus annotated optimal times for a list of parameter points."""
-    out = []
-    for p in params_list:
-        tr = trace(p, t_max=t_max, n_steps=n_steps)
-        res = find_t0(p, threshold, t_max=t_max)
-        gp = p.g_prime
-        pi_g = np.pi / gp if gp > 0 else np.inf
-        out.append(
-            Fig4Trace(
-                trace=tr,
-                result=res,
-                pi_over_gprime=pi_g,
-                pi_over_2gprime=pi_g / 2.0,
-                dev_pi_over_gprime=abs(res.t0 - pi_g),
-                dev_pi_over_2gprime=abs(res.t0 - pi_g / 2.0),
-            )
-        )
-    return out
+    return [
+        Fig4Trace(trace(p, t_max=t_max, n_steps=n_steps), find_t0(p, threshold, t_max=t_max))
+        for p in params_list
+    ]

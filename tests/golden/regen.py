@@ -9,17 +9,22 @@ This script is the one way to regenerate them:
 
     python tests/golden/regen.py
 
-It rewrites every file and removes files of cases no longer listed.  Every
-resulting diff must be explained in CHANGES.md.
+It rewrites every file whose output changed, removes files of cases no
+longer listed, and prints for each rewritten file how many lines changed and
+the largest difference between numbers at the same place in the old and new
+text.  Every resulting diff must be explained in CHANGES.md.
 """
 
 import contextlib
 import io
+import itertools
+import re
 import shlex
 import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 POINT = ("--g", "0.6", "--gprime", "1.37")
 UNCOUPLED = ("--g", "0.5", "--gprime", "0")
@@ -72,11 +77,38 @@ def render(argv):
     )
 
 
+def _compare(old, new):
+    """Lines of ``new`` that differ from ``old`` at the same line number, and
+    the largest absolute difference between the numbers in them; None when a
+    changed line differs in more than its numbers."""
+    changed = [(a, b) for a, b in itertools.zip_longest(old.splitlines(), new.splitlines())
+               if a != b]
+    largest = 0.0
+    for a, b in changed:
+        if a is None or b is None or _NUMBER.split(a) != _NUMBER.split(b):
+            return len(changed), None
+        for x, y in zip(_NUMBER.findall(a), _NUMBER.findall(b)):
+            largest = max(largest, abs(float(x) - float(y)))
+    return len(changed), largest
+
+
 def regenerate():
     for stale in set(HERE.glob("*.txt")) - {HERE / f"{name}.txt" for name in CASES}:
         stale.unlink()
+        print(f"{stale.name}: removed")
     for name, argv in CASES.items():
-        (HERE / f"{name}.txt").write_bytes(render(argv).encode())
+        path = HERE / f"{name}.txt"
+        new = render(argv)
+        old = path.read_bytes().decode() if path.exists() else None
+        if new == old:
+            continue
+        path.write_bytes(new.encode())
+        if old is None:
+            print(f"{path.name}: new")
+            continue
+        lines, largest = _compare(old, new)
+        diff = "text, not only numbers" if largest is None else f"numbers by at most {largest:.3g}"
+        print(f"{path.name}: {lines} changed lines, {diff}")
 
 
 if __name__ == "__main__":

@@ -176,6 +176,9 @@ POINT = ("--g", "0.6", "--gprime", "1.37")
     ("optimize", *POINT, "--t-max", "1e300"),
     ("optimize", *POINT, "--threshold-exp", "-400"),
     ("fig4", *POINT, "--threshold-exp", "-400"),
+    ("optimize", *POINT, "--threshold-exp", "400"),
+    ("fig4", *POINT, "--threshold-exp", "400"),
+    ("sweep", "--grid", "0.5:1:2,0.5:1:1", "--threshold-exp", "400"),
     ("optimize", *POINT, "--threshold-exp", "6", "--threshold-exp", "1"),
     ("fig4", *POINT, "--threshold-exp", "6", "--threshold-exp", "1"),
     ("sweep", "--grid", "0.5:1.0:2,0.5:1.0:3", "--threshold-exp", "1", "--threshold-exp", "1"),

@@ -16,9 +16,11 @@ from squidcavity.model import (
     CouplingParams,
     ExchangeSymmetryError,
     analytic_eigenvalues,
+    block_decompose,
     build_h_full,
     dark_state_full,
 )
+from squidcavity.optimize import find_t0
 from squidcavity import _kernels
 
 
@@ -53,9 +55,25 @@ def test_evolve_matches_series_oracle():
     assert np.max(np.abs(via_eig - via_series)) < 1e-8
 
 
-def test_evolve_rejects_nonsymmetric():
-    with pytest.raises(ExchangeSymmetryError):
-        evolve(CouplingParams(1.0, 2.0, 1.0, 1.0, 0.5), 1.0)
+_IDENTICAL_SQUIDS_ONLY = {
+    "evolve": lambda p: evolve(p, 1.0),
+    "trace": trace,
+    "find_t0": lambda p: find_t0(p, 1e-6),
+    "sector_modes": sector_modes,
+    "block_decompose": block_decompose,
+    "analytic_eigenvalues": analytic_eigenvalues,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_IDENTICAL_SQUIDS_ONLY))
+@pytest.mark.parametrize("p", [
+    CouplingParams(1.0, 2.0, 1.0, 1.0, 0.5),
+    CouplingParams(1.0, 1.0, 1.0, 2.0, 0.5),
+], ids=["g1!=g2", "omega1!=omega2"])
+def test_evolve_rejects_nonsymmetric(entry, p):
+    with pytest.raises(ExchangeSymmetryError) as err:
+        _IDENTICAL_SQUIDS_ONLY[entry](p)
+    assert str(err.value) == "the protocol assumes identical SQUIDs (g1 = g2, omega1 = omega2)"
 
 
 def test_amplitudes_of_initial_state():
@@ -166,7 +184,7 @@ def test_sector_modes_reproduce_trace():
     p = CouplingParams.symmetric(0.6, 1.37)
     w, lam = sector_modes(p)
     tr = trace(p, t_max=20.0, n_steps=101)
-    p1, p2, p3, p4 = _kernels.scan_probs(w, lam, tr.times)
+    p1, p2, p3, p4 = _kernels.mode_amplitudes(w, lam, tr.times) ** 2
     assert np.max(np.abs(p1 - tr.probs[:, 0])) < 1e-12
     assert np.max(np.abs(p3 - tr.probs[:, 2])) < 1e-12
     assert np.max(np.abs(p4 - tr.probs[:, 3])) < 1e-12
@@ -189,7 +207,7 @@ def test_closed_form_matches_oracle(p):
     h = build_h_full(p)
     d0 = dark_state_full(p)
     times = np.array([0.0, 0.37, 3.1, 16.1, 77.7, 200.0])
-    scan = np.stack(_kernels.scan_probs(w, e, times), axis=1)
+    scan = (_kernels.mode_amplitudes(w, e, times) ** 2).T
     for t, probs in zip(times, scan):
         ref = propagator_oracle(h, t) @ d0
         # the full 6-vector, so nothing may leak into the antisymmetric sector

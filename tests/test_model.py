@@ -1,8 +1,12 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from squidcavity.linalg import hermitian_eig
 from squidcavity.model import (
+    MAX_COUPLING,
     CouplingParams,
     DarkStateUndefinedError,
     ExchangeSymmetryError,
@@ -98,6 +102,29 @@ def test_dark_state_normalization_arithmetic():
 def test_dark_state_undefined():
     with pytest.raises(DarkStateUndefinedError):
         dark_state(CouplingParams(1.0, 1.0, 0.0, 0.0, 0.0))
+
+
+def test_dark_and_entangled_states_are_scale_free():
+    # unscaled, products such as omega1 omega2 = 1e-340 and their squares underflow
+    values = (0.0, 1e-300, 1e-170, 1e-10, 1.0, 1e10, 1e75)
+    for g1, g2, om1, om2 in itertools.product(values, repeat=4):
+        p = CouplingParams(g1, g2, om1, om2, 0.0)
+        top = max(g1, g2, om1, om2)
+        twins = [CouplingParams(*(math.ldexp(v, k) for v in (g1, g2, om1, om2)), 0.0)
+                 for k in (-20, 1, 20) if math.ldexp(top, k) <= MAX_COUPLING]
+        cases = ((dark_state, om1 and om2 or om2 and g1 or om1 and g2),
+                 (entangled_state_general, om2 and g1 or om1 and g2))
+        for state, defined in cases:
+            if not defined:
+                with pytest.raises(ValueError):
+                    state(p)
+                continue
+            v = state(p)
+            assert np.all(np.isfinite(v)) and abs(np.linalg.norm(v) - 1.0) <= 1e-15, p
+            for q in twins:
+                assert np.array_equal(state(q), v), (p, q)
+            if state is dark_state:
+                assert np.max(np.abs(build_h0(p) @ v)) <= 1e-15 * top, p
 
 
 def test_h_full_matches_displayed_matrix():

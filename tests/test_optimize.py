@@ -88,6 +88,8 @@ def test_validation():
         sweep((0.1, 1.0), (0.1, 1.0), 3, [0])
     with pytest.raises(ValueError, match="distinct"):
         sweep((0.5, 1.0), (0.5, 1.5), (2, 3), [1, 1])
+    with pytest.raises(ValueError, match="threshold must lie in"):
+        sweep((0.5, 1.0), (0.5, 1.0), (2, 1), [6, 400])  # 10^-400 underflows to 0
 
 
 def test_sweep_single_cell_matches_find_t0():
@@ -161,7 +163,7 @@ def test_find_t0_beats_brute_force_on_a_finer_grid(g, gp):
     w, e = sector_modes(p)
     step = opt.SCAN_STEP_BASE / (4.0 * max(1.0, g, gp))
     times = np.linspace(0.0, 200.0, int(np.ceil(200.0 / step)) + 1)[1:]
-    p1, p2, p3, _ = _kernels.scan_probs(w, e, times)
+    p1, p2, p3, _ = _kernels.mode_amplitudes(w, e, times) ** 2
     h, d0 = build_h_full(p), dark_state_full(p)
     for threshold in (1e-6, 1e-3, 1e-1):
         res = find_t0(p, threshold)
@@ -176,11 +178,10 @@ def test_find_t0_beats_brute_force_on_a_finer_grid(g, gp):
 
 
 def _count_kernel_calls(monkeypatch):
-    """Count calls into _kernels from outside it (scan_probs calls
-    mode_amplitudes itself)."""
+    """Count calls into _kernels from outside it."""
     calls = [0]
     depth = [0]
-    for name in ("mode_amplitudes", "mode_derivatives", "scan_probs", "grid_probs"):
+    for name in ("mode_amplitudes", "mode_derivatives", "grid_probs"):
         def counted(*args, _fn=getattr(_kernels, name)):
             calls[0] += depth[0] == 0
             depth[0] += 1
