@@ -24,17 +24,60 @@ def mode_amplitudes(w, e, times):
     return w @ np.concatenate((np.cos(ph), np.sin(ph)))
 
 
+def derivative_weights(w, e):
+    """Two-term weights of the amplitudes and their first two derivatives.
+
+    a1, a3 are cosine series and a2, a4 sine series (``sector_modes`` gives
+    weights of that parity; the other entries of ``w`` are not read), so
+    every derivative is a two-term series too.  The result has shape
+    (2, 6, 2): slice 0 multiplies [cos E1 t, cos E3 t], slice 1
+    [sin E1 t, sin E3 t], and their rows are
+
+        0, 1:  a1, a3       and  a2, a4
+        2, 3:  a2', a4'     and  a1', a3'
+        4, 5:  a1'', a3''   and  a2'', a4''
+    """
+    wc, ws = w[0::2, :2], w[1::2, 2:]
+    neg_e2 = -e * e
+    m = np.empty((2, 6, 2))
+    m[0, :2], m[1, :2] = wc, ws
+    np.multiply(ws, e, out=m[0, 2:4])
+    np.multiply(wc, -e, out=m[1, 2:4])
+    np.multiply(wc, neg_e2, out=m[0, 4:])
+    np.multiply(ws, neg_e2, out=m[1, 4:])
+    return m
+
+
+def derivative_rows(m, e, t):
+    """Rows of two-term series with weights ``m`` at times ``t``.
+
+    ``m`` has shape (2, R, 2, ...) as in ``derivative_weights`` (any choice
+    of R rows) and ``e`` shape (2, ...); the trailing axes of ``m``, ``e``
+    and ``t`` broadcast, so each time may carry its own modes.  Returns the
+    (2, R, ...) cosine and sine rows.  The evaluation is elementwise with a
+    fixed order of operations, so every element has the same bits however
+    many are evaluated together (a BLAS product does not promise that).
+    """
+    ph = e * t
+    basis = np.empty((2, 1) + ph.shape)
+    np.cos(ph, out=basis[0, 0])
+    np.sin(ph, out=basis[1, 0])
+    terms = m * basis
+    return terms[:, :, 0] + terms[:, :, 1]
+
+
 def mode_derivatives(w, e, times):
     """Amplitude rows ``a`` and their time derivatives ``a'``, ``a''``.
 
-    One cos/sin evaluation serves all three: a' = w @ [-e sin; e cos] and
-    a'' = -w @ [e^2 cos; e^2 sin].  Shapes are as in ``mode_amplitudes``.
+    Shapes are as in ``mode_amplitudes``.
     """
-    ph = np.multiply.outer(e, times)
-    ee = np.concatenate((e, e))
-    w1 = np.concatenate((w[:, 2:], -w[:, :2]), axis=1) * ee
-    rows = np.concatenate((w, w1, -w * ee * ee)) @ np.concatenate((np.cos(ph), np.sin(ph)))
-    return rows[:4], rows[4:8], rows[8:]
+    pad = (1,) * np.ndim(times)
+    c, s = derivative_rows(derivative_weights(w, e).reshape((2, 6, 2) + pad), e.reshape((2,) + pad), times)
+    return (
+        np.stack((c[0], s[0], c[1], s[1])),
+        np.stack((s[2], c[2], s[3], c[3])),
+        np.stack((c[4], s[4], c[5], s[5])),
+    )
 
 
 def grid_probs(w, e, t_end, m):

@@ -207,7 +207,7 @@ def _optimize(ns):
         **_head("optimize", p), "j": j, "threshold": float(res.threshold),
         "feasible": bool(res.feasible), "t0": float(res.t0), "p1p2": float(res.p1p2),
         "p3": float(res.p3), "p4": float(res.p4), "pi_over_gprime": _num(res.pi_over_gprime),
-        "pi_over_2gprime": _num(res.pi_over_gprime / 2.0),
+        "pi_over_2gprime": _num(res.pi_over_2gprime),
     }
     row = (p.g1, p.g_prime, j, bool(res.feasible), res.t0, res.p1p2, res.p3, res.p4,
            res.pi_over_gprime)

@@ -3,9 +3,10 @@
 The entanglement condition P1(t0) = P2(t0) = 0 is operationalized as
 P1 + P2 <= threshold.  Within the feasible set the target-state
 probability P3 is maximized: a dense deterministic scan brackets every
-candidate and one safeguarded Newton solve on the closed-form
-derivatives refines them; infeasible cells are first-class results
-carrying the best residual found.
+candidate and one safeguarded Newton solve per equation on the
+closed-form derivatives refines them, for all cells of a sweep row at
+once; infeasible cells are first-class results carrying the best residual
+found.
 """
 
 from dataclasses import dataclass
@@ -24,8 +25,20 @@ _X_TOL = 1e-12
 _MAX_ITER = 100
 # equations a solve can carry: r' = 0, r = level, P3' = 0
 _DIP, _EDGE, _P3MAX = 0, 1, 2
+# rows of _kernels.derivative_weights each equation reads: a1..a4, then
+# a1', a2' and a1'', a2'' for a dip, a1', a2' for an edge, a3' and a3''
+# for a maximum of P3
+_ROWS = ([0, 1, 2, 4], [0, 1, 2], [0, 1, 3, 5])
+# each equation's modes: indices into derivative_weights(w, e).ravel()
+# followed by (E1, E3)
+_MODES = tuple(
+    np.concatenate((np.arange(24).reshape(2, 6, 2)[:, rows].ravel(), [24, 25])) for rows in _ROWS
+)
 # Most sweep results (cells x threshold exponents) held in memory
 MAX_CELLS = 2**16
+# Most cells of a row refined together: a cell's brackets take about 130 kB
+# at t_max = 200, so a 1 x 32768 grid cannot hold gigabytes
+_ROW_CELLS = 64
 
 
 @dataclass(frozen=True)
@@ -45,6 +58,10 @@ class OptimizeResult:
     p3: float
     p4: float
     pi_over_gprime: float
+
+    @property
+    def pi_over_2gprime(self):
+        return self.pi_over_gprime / 2.0
 
 
 @dataclass(frozen=True)
@@ -71,7 +88,7 @@ class Fig4Trace:
 
     @property
     def pi_over_2gprime(self):
-        return self.result.pi_over_gprime / 2.0
+        return self.result.pi_over_2gprime
 
     @property
     def dev_pi_over_gprime(self):
@@ -97,9 +114,8 @@ def _scan_setup(p, t_max):
 def _scan(p, t_max):
     """Dense deterministic scan over [_T_FLOOR, t_max].
 
-    Returns ``(w, e, pts, dip_i, dips)``: the modes, a point table with rows
-    t, r = P1 + P2, P3, P4, the sample indices of the 3-point minima of r and
-    the point table of their Newton-refined minima.
+    Returns ``(w, e, pts)``: the modes and a point table with rows
+    t, r = P1 + P2, P3, P4.
     """
     w, e, n = _scan_setup(p, t_max)
     times = np.linspace(0.0, t_max, n + 1)
@@ -107,16 +123,19 @@ def _scan(p, t_max):
     pts = _kernels.grid_probs(w, e, t_max, n + 1)
     pts[1] += pts[0]
     pts[0] = times
-    times = pts[0]
-    times[0] = min(_T_FLOOR, times[1])
-    dip_i = _peaks(-pts[1])
-    return w, e, pts, dip_i, _solve(w, e, _DIP, *_around(times, dip_i), 0.0)
+    pts[0, 0] = min(_T_FLOOR, pts[0, 1])
+    return w, e, pts
 
 
-def _peaks(x):
-    """Indices where x is >= both neighbours (a missing neighbour never wins)."""
-    padded = np.concatenate(([-np.inf], x, [-np.inf]))
-    return np.flatnonzero((x >= padded[:-2]) & (x >= padded[2:]))
+def _peaks(x, wins=np.greater_equal):
+    """Indices where ``wins(x, neighbour)`` holds for both neighbours (a
+    missing neighbour never wins): the 3-point maxima of x, or with
+    ``np.less_equal`` its 3-point minima."""
+    ok = np.empty(x.size, dtype=bool)
+    wins(x[:-1], x[1:], out=ok[:-1])
+    ok[-1] = True
+    ok[1:] &= wins(x[1:], x[:-1])
+    return np.flatnonzero(ok)
 
 
 def _around(times, idx):
@@ -129,47 +148,124 @@ def _around(times, idx):
     return times[np.maximum(idx - 1, 0)], times[hi]
 
 
-def _equation(w, e, kind, level, t):
+def _curvature_bound(m):
+    """L2 >= |r''| everywhere, for r = a1^2 + a2^2, from the weights ``m``
+    of ``_kernels.derivative_weights``.
+
+    r'' = 2 (a1'^2 + a1 a1'' + a2'^2 + a2 a2''), and a row's sum of |weights|,
+    sum_j |w_kj| E_j^i for its derivative i, bounds its magnitude.
+    """
+    c, s = np.abs(m).sum(axis=2).tolist()
+    return 2.0 * (s[2] * s[2] + c[0] * c[4] + c[2] * c[2] + s[0] * s[4])
+
+
+@dataclass(frozen=True)
+class _Cell:
+    """What refinement and selection read of one point's scan.
+
+    ``modes[kind]`` holds the weights and frequencies every bracket of
+    equation ``kind`` carries (see ``_equation``); ``best`` is the sample of
+    smallest r; the dips are the 3-point minima of r that the curvature
+    bound keeps, with their brackets and sampled r; ``peaks`` are the
+    3-point maxima of P3 feasible at the largest threshold, with their
+    brackets; ``edges`` holds per threshold the feasible samples next to an
+    infeasible one and the times of those infeasible neighbours.
+    """
+
+    p: object
+    modes: tuple
+    best: np.ndarray
+    dip_lo: np.ndarray
+    dip_hi: np.ndarray
+    dip_r: np.ndarray
+    peaks: np.ndarray
+    peak_lo: np.ndarray
+    peak_hi: np.ndarray
+    edges: tuple
+
+
+def _cell(p, t_max, thresholds):
+    """Scan one point and cut its point table down to a ``_Cell``."""
+    w, e, pts = _scan(p, t_max)
+    times, r, p3 = pts[0], pts[1], pts[2]
+    m = _kernels.derivative_weights(w, e)
+    h = t_max / (times.size - 1)
+    dip = _peaks(r, np.less_equal)
+    dip_r = r[dip]
+    # the first sample of smallest r is the first dip of smallest r
+    best = pts[:, dip[np.argmin(dip_r)]].copy()
+    top = max(thresholds)
+    # |t* - t_i| <= h at a dip's minimum t*, so r(t*) >= r(t_i) - L2 h^2 / 2:
+    # a dip sampled above this cap refines above both the largest threshold
+    # and the best sample, and can be neither feasible nor the best residual
+    keep = dip_r <= max(top, best[1]) + 0.5 * _curvature_bound(m) * h * h
+    dip, dip_r = dip[keep], dip_r[keep]
+    peak = _peaks(p3)
+    peak = peak[r[peak] <= top]
+    edges = []
+    for threshold in thresholds:
+        feas = r <= threshold
+        cut = np.flatnonzero(feas[:-1] != feas[1:])
+        inside = np.where(feas[cut], cut, cut + 1)
+        edges.append((pts[:, inside], times[np.where(feas[cut], cut + 1, cut)]))
+    modes = np.concatenate((m.ravel(), e))
+    return _Cell(
+        p, tuple(modes[at] for at in _MODES), best,
+        *_around(times, dip), dip_r, pts[:, peak], *_around(times, peak), tuple(edges),
+    )
+
+
+def _equation(kind, q, t):
     """f and f' of equation ``kind`` at t, and the point table there.
 
-    The signs make a wanted root an upward crossing: r' for a minimum of r,
-    r - level for an edge whose feasible end is ``lo``, -P3' for a maximum.
+    Column j of ``q`` holds the weights of the ``_ROWS[kind]`` rows of
+    ``_kernels.derivative_weights``, the frequencies and the level of time
+    t[..., j].  The signs make a wanted root an upward crossing: r' for a
+    minimum of r, r - level for an edge whose feasible end is ``lo``, -P3'
+    for a maximum.
     """
-    a, da, dda = _kernels.mode_derivatives(w, e, t)
-    p = a * a
-    r = p[0] + p[1]
+    nw = 4 * len(_ROWS[kind])
+    c, s = _kernels.derivative_rows(q[:nw].reshape((2, -1, 2) + q.shape[1:]), q[nw:nw + 2], t)
+    # c[0], s[0], c[1], s[1] are a1..a4; rows 2 and 3 hold the derivatives
+    # the equation reads (see _ROWS)
+    pts = np.empty((4,) + c.shape[1:])
+    pts[0] = t
+    r = np.add(c[0] * c[0], s[0] * s[0], out=pts[1])
+    np.multiply(c[1], c[1], out=pts[2])
+    np.multiply(s[1], s[1], out=pts[3])
     if kind == _P3MAX:
-        f, df = -2.0 * a[2] * da[2], -2.0 * (da[2] * da[2] + a[2] * dda[2])
+        f, df = -2.0 * c[1] * s[2], -2.0 * (s[2] * s[2] + c[1] * c[3])
     else:
-        dr = 2.0 * (a[0] * da[0] + a[1] * da[1])
+        dr = 2.0 * (c[0] * s[2] + s[0] * c[2])
         if kind == _DIP:
-            f, df = dr, 2.0 * (da[0] * da[0] + a[0] * dda[0] + da[1] * da[1] + a[1] * dda[1])
+            f, df = dr, 2.0 * (s[2] * s[2] + c[0] * c[3] + c[2] * c[2] + s[0] * s[3])
         else:
-            f, df = r - level, dr
-    return f, df, np.vstack((t, r, p[2], p[3]))
+            f, df = r - q[nw + 2], dr
+    return f, df, pts
 
 
-def _solve(w, e, kind, lo, hi, level):
+def _solve(kind, lo, hi, q):
     """One root of equation ``kind`` per bracket [lo, hi] by bracketed
-    Newton (rtsafe), one kernel call per iteration over all open brackets.
+    Newton (rtsafe), one kernel call per iteration over all open brackets;
+    column j of ``q`` is bracket j's modes and level (see ``_equation``).
 
     A Newton step leaving the bracket, or not halving the previous step,
     bisects instead (one landing on an end is kept).  A step below the
     tolerance 1e-12 max(1, t) is pushed that far past the root and ends the
     solve.  The result is the last point evaluated with f <= 0, so an edge
     is feasible under the same closed form; a bracket without the sign
-    change f(lo) <= 0 < f(hi) returns its midpoint.  Returns the point table.
+    change f(lo) <= 0 < f(hi) returns its midpoint.  Every bracket's result
+    depends on that bracket alone.  Returns the point table.
     """
-    m = lo.size
-    if m == 0:
+    if lo.size == 0:
         return np.empty((4, 0))
     mid = 0.5 * (lo + hi)
-    f, df, pts = _equation(w, e, kind, level, np.concatenate((lo, hi, mid)))
-    idx = np.flatnonzero((f[:m] <= 0.0) & (f[m:2 * m] > 0.0))
-    out = pts[:, 2 * m:].copy()
-    out[:, idx] = pts[:, idx]
+    f, df, pts = _equation(kind, q[:, None], np.stack((lo, hi, mid)))
+    idx = np.flatnonzero((f[0] <= 0.0) & (f[1] > 0.0))
+    out = pts[:, 2].copy()
+    out[:, idx] = pts[:, 0, idx]
     a, b, x, step = lo[idx], hi[idx], mid[idx], np.abs(hi - lo)[idx]
-    f, df, pts = f[2 * m + idx], df[2 * m + idx], pts[:, 2 * m + idx]
+    f, df, pts, q = f[2, idx], df[2, idx], pts[:, 2, idx], q[:, idx]
     final = np.zeros(idx.size, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_MAX_ITER):
@@ -182,6 +278,7 @@ def _solve(w, e, kind, lo, hi, level):
                 break
             if not go.all():
                 idx, a, b, x, step, f, df, tol = (v[go] for v in (idx, a, b, x, step, f, df, tol))
+                q = q[:, go]
             d = f / df
             c = 0.5 * (a + b)
             final = np.abs(d) <= tol
@@ -193,8 +290,26 @@ def _solve(w, e, kind, lo, hi, level):
             final &= ~bis
             step = np.abs(xn - x)
             x = xn
-            f, df, pts = _equation(w, e, kind, level, x)
+            f, df, pts = _equation(kind, q, x)
     return out
+
+
+def _solve_groups(kind, groups):
+    """One ``_solve`` over groups ``(cell, lo, hi, level)``, whose brackets
+    carry their cell's modes; returns one point table per group."""
+    sizes = [lo.size for _, lo, _, _ in groups]
+    if not any(sizes):
+        return [np.empty((4, 0))] * len(groups)
+    table = np.empty((_MODES[kind].size + 1, len(groups)))
+    for j, (c, _, _, level) in enumerate(groups):
+        table[:-1, j] = c.modes[kind]
+        table[-1, j] = level
+    q = np.repeat(table, sizes, axis=1)
+    lo = np.concatenate([lo for _, lo, _, _ in groups])
+    hi = np.concatenate([hi for _, _, hi, _ in groups])
+    out = _solve(kind, lo, hi, q)
+    ends = np.cumsum(sizes).tolist()
+    return [out[:, a:b] for a, b in zip([0] + ends, ends)]
 
 
 def _result(p, threshold, t_max, feasible, row):
@@ -206,47 +321,66 @@ def _result(p, threshold, t_max, feasible, row):
     )
 
 
-def _find_from_scan(p, scan, threshold, t_max):
-    w, e, pts, dip_i, dips = scan
-    times, r, p3 = pts[0], pts[1], pts[2]
+def _row(params, thresholds, t_max):
+    """Results [cell][threshold] for one row of points.
 
-    feas = r <= threshold
+    The points are scanned in turn, each cut down to a ``_Cell`` before the
+    next is scanned, so one point table lives at a time.  Then each equation
+    is solved once for the whole row:
+
+    - r' = 0 for the dips of r;
+    - r = threshold for the edges between feasible and infeasible
+      neighbours, and on both sides of each feasible dip that falls between
+      infeasible samples;
+    - P3' = 0 next to feasible 3-point maxima of P3, and between each edge
+      and the feasible end of its bracket.
+    """
+    cells = [_cell(p, t_max, thresholds) for p in params]
+    dips = _solve_groups(_DIP, [(c, c.dip_lo, c.dip_hi, 0.0) for c in cells])
+    # one plan per result, cell-major
+    plans = [(c, d, k, threshold) for c, d in zip(cells, dips) for k, threshold in enumerate(thresholds)]
+    edge_groups = []
+    for c, d, k, threshold in plans:
+        narrow = (d[1] <= threshold) & (c.dip_r > threshold)
+        inside, outside = c.edges[k]
+        edge_groups.append((
+            c,
+            np.concatenate((inside[0], d[0, narrow], d[0, narrow])),
+            np.concatenate((outside, c.dip_lo[narrow], c.dip_hi[narrow])),
+            threshold,
+        ))
+    edges = _solve_groups(_EDGE, edge_groups)
+    max_groups = []
+    for (c, edge_lo, _, threshold), edge in zip(edge_groups, edges):
+        peak = c.peaks[1] <= threshold
+        max_groups.append((
+            c,
+            np.concatenate((c.peak_lo[peak], np.minimum(edge_lo, edge[0]))),
+            np.concatenate((c.peak_hi[peak], np.maximum(edge_lo, edge[0]))),
+            threshold,
+        ))
+    maxima = _solve_groups(_P3MAX, max_groups)
+    results = [
+        _select(*plan, t_max, edge, peak_max) for plan, edge, peak_max in zip(plans, edges, maxima)
+    ]
+    n = len(thresholds)
+    return [results[i:i + n] for i in range(0, len(results), n)]
+
+
+def _select(c, dips, k, threshold, t_max, edges, maxima):
+    """Result ``k`` of one cell, at ``threshold``, from its refined points."""
     dip_feas = dips[1] <= threshold
-    if not feas.any() and not dip_feas.any():
+    if c.best[1] > threshold and not dip_feas.any():
         # infeasible: report the smallest residual seen
-        best = pts[:, np.argmin(r)]
+        best = c.best
         if dips.size and dips[1].min() < best[1]:
             best = dips[:, np.argmin(dips[1])]
-        return _result(p, threshold, t_max, False, best)
-
-    # edges r = threshold between feasible/infeasible neighbours, and on both
-    # sides of each feasible dip that falls between infeasible samples
-    cut = np.flatnonzero(feas[:-1] != feas[1:])
-    inside = np.where(feas[cut], cut, cut + 1)
-    outside = np.where(feas[cut], cut + 1, cut)
-    narrow = dip_feas & ~feas[dip_i]
-    dip_lo, dip_hi = _around(times, dip_i[narrow])
-    edge_lo = np.concatenate((times[inside], dips[0, narrow], dips[0, narrow]))
-    edge_hi = np.concatenate((times[outside], dip_lo, dip_hi))
-    edges = _solve(w, e, _EDGE, edge_lo, edge_hi, threshold)
-
-    # P3 maxima next to feasible 3-point maxima of P3, and between each
-    # edge and the feasible end of its bracket
-    peak = _peaks(p3)
-    peak = peak[feas[peak]]
-    peak_lo, peak_hi = _around(times, peak)
-    maxima = _solve(
-        w, e, _P3MAX,
-        np.concatenate((peak_lo, np.minimum(edge_lo, edges[0]))),
-        np.concatenate((peak_hi, np.maximum(edge_lo, edges[0]))),
-        threshold,
-    )
-
+        return _result(c.p, threshold, t_max, False, best)
     # the feasible samples bracketing maxima and edges stay candidates too
-    cand = np.hstack((pts[:, peak], pts[:, inside], dips[:, dip_feas], edges, maxima))
+    cand = np.hstack((c.peaks[:, c.peaks[1] <= threshold], c.edges[k][0], dips[:, dip_feas], edges, maxima))
     cand = cand[:, cand[1] <= threshold]
     near = cand[2] >= cand[2].max() - P3_TIE_TOL
-    return _result(p, threshold, t_max, True, cand[:, near][:, np.argmin(cand[0, near])])
+    return _result(c.p, threshold, t_max, True, cand[:, near][:, np.argmin(cand[0, near])])
 
 
 def _check_threshold(threshold):
@@ -258,7 +392,7 @@ def find_t0(p, threshold, t_max=DEFAULT_T_MAX):
     """Best measurement time under the entanglement-condition threshold."""
     _check_threshold(threshold)
     _check_t_max(t_max)
-    return _find_from_scan(p, _scan(p, t_max), threshold, t_max)
+    return _row([p], [threshold], t_max)[0][0]
 
 
 def sweep(
@@ -273,7 +407,9 @@ def sweep(
 
     ``steps`` is an int (same count per axis) or a pair.  Each cell is one
     scan shared by all thresholds, and each of its results equals find_t0
-    at that threshold.  Grids over MAX_CELLS cell results are rejected.
+    at that threshold.  The cells of a row, up to _ROW_CELLS at a time, are
+    refined together; ``progress(done)`` is called once per cell after its
+    row part.  Grids over MAX_CELLS cell results are rejected.
     """
     if isinstance(steps, int):
         steps = (steps, steps)
@@ -301,12 +437,12 @@ def sweep(
     # one list of results per cell (one result per exponent), row-major
     results = []
     for g in g_values:
-        for gp in gprime_values:
-            p = CouplingParams.symmetric(float(g), float(gp))
-            scan = _scan(p, t_max)
-            results.append([_find_from_scan(p, scan, th, t_max) for th in thresholds])
+        for at in range(0, gprime_values.size, _ROW_CELLS):
+            row = [CouplingParams.symmetric(float(g), float(gp)) for gp in gprime_values[at:at + _ROW_CELLS]]
+            results += _row(row, thresholds, t_max)
             if progress is not None:
-                progress(len(results))
+                for done in range(len(results) - len(row) + 1, len(results) + 1):
+                    progress(done)
     rows = [results[i:i + steps[1]] for i in range(0, len(results), steps[1])]
     return [
         SweepGrid(

@@ -94,14 +94,16 @@ def test_validation():
 
 def test_sweep_single_cell_matches_find_t0():
     exps = [6, 3, 1]
-    grids = sweep((0.3, 0.9), (0.87, 1.87), 3, exps, t_max=200.0)  # (0.6, 1.37) in the middle
+    # rows of 9 cells; (0.6, 1.37) is among them
+    grids = sweep((0.3, 0.9), (0.87, 1.87), (3, 9), exps, t_max=200.0)
     assert [grid.threshold_exponent for grid in grids] == exps
+    fields = ("feasible", "t0", "p1p2", "p3", "p4")
     for grid in grids:
         for i, g in enumerate(grid.g_values):
             for k, gp in enumerate(grid.gprime_values):
                 cell = grid.cells[i][k]
                 ref = find_t0(CouplingParams.symmetric(g, gp), 10.0 ** -grid.threshold_exponent)
-                assert (cell.feasible, cell.t0, cell.p3) == (ref.feasible, ref.t0, ref.p3)
+                assert [getattr(cell, f) for f in fields] == [getattr(ref, f) for f in fields]
 
 
 def test_sweep_threshold_nesting():
@@ -118,8 +120,8 @@ def test_sweep_threshold_nesting():
 
 def test_sweep_progress_and_order():
     seen = []
-    grids = sweep((0.5, 1.0), (0.5, 1.0), 2, [2, 4], t_max=30.0, progress=seen.append)
-    assert seen == [1, 2, 3, 4]
+    grids = sweep((0.5, 1.0), (0.5, 1.0), (3, 2), [2, 4], t_max=30.0, progress=seen.append)
+    assert seen == [1, 2, 3, 4, 5, 6]  # once per cell, row-major
     assert [g.threshold_exponent for g in grids] == [2, 4]
 
 
@@ -178,10 +180,10 @@ def test_find_t0_beats_brute_force_on_a_finer_grid(g, gp):
 
 
 def _count_kernel_calls(monkeypatch):
-    """Count calls into _kernels from outside it."""
+    """Count evaluations in _kernels called from outside it."""
     calls = [0]
     depth = [0]
-    for name in ("mode_amplitudes", "mode_derivatives", "grid_probs"):
+    for name in ("mode_amplitudes", "mode_derivatives", "derivative_rows", "grid_probs"):
         def counted(*args, _fn=getattr(_kernels, name)):
             calls[0] += depth[0] == 0
             depth[0] += 1
@@ -226,6 +228,101 @@ def test_find_t0_peak_memory_is_bounded_by_the_point_table(g, gp, threshold):
     finally:
         tracemalloc.stop()
     assert peak <= 2.0 * table
+
+
+def test_sweep_peak_memory_is_bounded_by_one_point_table():
+    # g' = 2 has the longest scan of the row
+    table = 32 * (opt._scan_setup(CouplingParams.symmetric(0.6, 2.0), 200.0)[2] + 1)
+    tracemalloc.start()
+    try:
+        sweep((0.6, 0.6), (0.5, 2.0), (1, 16), [6, 1], t_max=200.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * table
+
+
+def test_sweep_memory_does_not_grow_with_row_length():
+    peaks = []
+    for n in (opt._ROW_CELLS, 4 * opt._ROW_CELLS):
+        tracemalloc.start()
+        try:
+            sweep((1.0, 1.0), (0.5, 1.0), (1, n), [6, 1], t_max=20.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # only the results grow; every cell's brackets held at once would not fit
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
+# at least 10 cells, with g' = 0 and E1 = E3 among them
+_BATCH_POINTS = (
+    *PAPER_PAIRS,
+    (1.5, 0.7),
+    (1.0, 0.0),
+    (0.0, 1.0),
+    *(tuple(pt) for pt in np.random.default_rng(20261019).uniform(0.05, 3.0, (9, 2)).round(6)),
+)
+
+
+def test_bracket_evaluation_is_independent_of_batch_size():
+    thresholds = [1e-6, 1e-1]
+    params = [CouplingParams.symmetric(g, gp) for g, gp in _BATCH_POINTS]
+    cells = [opt._cell(p, 200.0, thresholds) for p in params]
+    modes = [sector_modes(p) for p in params]
+    # every bracket the row would solve, as (cell, lo, hi, level) per equation
+    pools = {
+        opt._DIP: [(i, c.dip_lo, c.dip_hi, 0.0) for i, c in enumerate(cells)],
+        opt._EDGE: [
+            (i, inside[0], outside, th)
+            for i, c in enumerate(cells) for (inside, outside), th in zip(c.edges, thresholds)
+        ],
+        opt._P3MAX: [(i, c.peak_lo, c.peak_hi, 0.0) for i, c in enumerate(cells)],
+    }
+    rng = np.random.default_rng(5)
+    for kind, pool in pools.items():
+        # 1,000 brackets, each from a group drawn uniformly
+        pool = [group for group in pool if group[1].size]
+        picks = [pool[k] for k in rng.integers(len(pool), size=1000)]
+        at = [rng.integers(lo.size) for _, lo, _, _ in picks]
+        owner = np.array([i for i, _, _, _ in picks])
+        lo, hi = (np.array([g[j][k] for g, k in zip(picks, at)]) for j in (1, 2))
+        level = np.array([lv for *_, lv in picks])
+        assert np.unique(owner).size >= 10
+        q = np.column_stack([(*cells[i].modes[kind], lv) for i, lv in zip(owner, level)])
+        batch = opt._solve(kind, lo, hi, q)
+        weights = np.stack([_kernels.derivative_weights(*modes[i]) for i in owner], axis=-1)
+        freqs = np.stack([modes[i][1] for i in owner], axis=-1)
+        rows = _kernels.derivative_rows(weights, freqs, lo)
+        for j in range(0, 1000, 25):
+            alone = opt._solve(kind, lo[j:j + 1], hi[j:j + 1], q[:, j:j + 1])
+            assert np.array_equal(alone[:, 0], batch[:, j])
+            w, e = modes[owner[j]]
+            assert np.array_equal(_kernels.derivative_rows(weights[..., j], e, lo[j]), rows[..., j])
+            c, s = rows[..., j]
+            a, da, dda = _kernels.mode_derivatives(w, e, lo[j])
+            assert np.array_equal(a, [c[0], s[0], c[1], s[1]])
+            assert np.array_equal(da, [s[2], c[2], s[3], c[3]])
+            assert np.array_equal(dda, [c[4], s[4], c[5], s[5]])
+
+
+@pytest.mark.parametrize("threshold", [1e-6, 1e-1])
+def test_pruned_dips_refine_above_threshold_and_best_sample(threshold):
+    points = (*PAPER_PAIRS, *np.random.default_rng(20261020).uniform(0.05, 3.0, (20, 2)).round(6))
+    pruned = 0
+    for g, gp in points:
+        p = CouplingParams.symmetric(g, gp)
+        cell = opt._cell(p, 200.0, [threshold])
+        times, r = opt._scan(p, 200.0)[2][:2]
+        lo, hi = opt._around(times, opt._peaks(r, np.less_equal))
+        # every 3-point dip, refined by the same solve without pruning
+        (dips,) = opt._solve_groups(opt._DIP, [(cell, lo, hi, 0.0)])
+        kept = set(zip(cell.dip_lo.tolist(), cell.dip_hi.tolist()))
+        out = np.array([pair not in kept for pair in zip(lo.tolist(), hi.tolist())])
+        assert out.sum() == lo.size - cell.dip_lo.size
+        assert np.all(dips[1, out] > max(threshold, r.min()))
+        pruned += out.sum()
+    assert pruned > 0
 
 
 def test_oversized_scans_are_rejected_before_allocation(forbid_large_grids):
