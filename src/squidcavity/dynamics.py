@@ -11,7 +11,8 @@ the dark state's sector vector x = (F1, F3)(0),
 
     [F1, F3](t) = U cos(E t) U^T x,    [F2, F4](t) = -i V sin(E t) U^T x,
 
-so E1 >= E3 (E1 E3 = g' Omega, E1^2 + E3^2 = eta) are the only frequencies.
+so E1 >= E3 (E1 E3 = g' Omega, E1^2 + E3^2 = eta) are the only frequencies;
+``sector_modes`` gives them with (2, 2, 2) cosine and sine weights.
 """
 
 from dataclasses import dataclass
@@ -38,8 +39,6 @@ MAX_SAMPLES = 2**22
 # (chi1+, chi2+, chi4+, chi3+), and of the antisymmetric chi vectors
 _F_VECTORS = symmetry_transform().transform[[2, 3, 5, 4]]
 _CHI_MINUS = symmetry_transform().transform[:2]
-# F_k = phase_k * a_k for the real amplitude rows of _kernels.mode_amplitudes
-_F_PHASES = np.array([1.0, -1j, 1.0, -1j])
 
 
 @dataclass(frozen=True)
@@ -73,19 +72,19 @@ class EvolutionTrace:
 def sector_modes(p):
     """Mode weights and frequencies of the dark state's symmetric-sector dynamics.
 
-    Returns ``(w, e)``: ``e = (E1, E3)``, the singular values of the
-    coupling block B, and real weights ``w`` with rows F1, F2, F3, F4 and
-    columns cos(E1 t), cos(E3 t), sin(E1 t), sin(E3 t).  The amplitudes are
-    F1 = a1, F2 = -i a2, F3 = a3, F4 = -i a4 with ``a = w @ basis(t)``.
+    Returns ``(m, e)``: ``e = (E1, E3)``, the singular values of the
+    coupling block B, and real weights ``m`` of shape (2, 2, 2), columns E1,
+    E3: [a1, a3] = m[0] @ cos(e t) and [a2, a4] = m[1] @ sin(e t), with
+    F1 = a1, F2 = -i a2, F3 = a3, F4 = -i a4.
     """
     b = np.array([[SQRT2 * p.g, p.g_prime], [p.omega1, 0.0]])
     u, e, vt = np.linalg.svd(b)
     x = (_F_VECTORS[[0, 2]] @ dark_state_full(p)).real
     c = u.T @ x
-    w = np.zeros((4, 4))
-    w[0::2, :2] = u * c
-    w[1::2, 2:] = vt.T * c
-    return w, e
+    m = np.empty((2, 2, 2))
+    np.multiply(u, c, out=m[0])
+    np.multiply(vt.T, c, out=m[1])
+    return m, e
 
 
 def _check_t_max(t_max):
@@ -102,9 +101,10 @@ def evolve(p, t):
     """Dark state (aux in ground) evolved for time t, phi basis."""
     if not (0.0 <= t < np.inf):
         raise ValueError("t must be finite and >= 0")
-    w, e = sector_modes(p)
+    m, e = sector_modes(p)
     _check_phase(e, t)
-    return _F_VECTORS.T @ (_F_PHASES * _kernels.mode_amplitudes(w, e, t))
+    c, s = _kernels.derivative_rows(m, e, t)
+    return _F_VECTORS[0::2].T @ c - 1j * (_F_VECTORS[1::2].T @ s)
 
 
 def amplitudes(psi):
@@ -136,10 +136,10 @@ def trace(p, t_max=DEFAULT_T_MAX, n_steps=DEFAULT_N_STEPS):
     _check_t_max(t_max)
     if not (2 <= n_steps <= MAX_SAMPLES):
         raise ValueError(f"n_steps must lie in [2, {MAX_SAMPLES}]")
-    w, e = sector_modes(p)
+    m, e = sector_modes(p)
     _check_phase(e, t_max)
     times = np.linspace(0.0, t_max, n_steps)
-    probs = _kernels.grid_probs(w, e, t_max, n_steps).T
+    probs = _kernels.grid_probs(m, e, t_max, n_steps).T
     return EvolutionTrace(
         params=p, times=times, probs=probs, leakage=np.zeros(n_steps)
     )

@@ -29,11 +29,6 @@ _DIP, _EDGE, _P3MAX = 0, 1, 2
 # a1', a2' and a1'', a2'' for a dip, a1', a2' for an edge, a3' and a3''
 # for a maximum of P3
 _ROWS = ([0, 1, 2, 4], [0, 1, 2], [0, 1, 3, 5])
-# each equation's modes: indices into derivative_weights(w, e).ravel()
-# followed by (E1, E3)
-_MODES = tuple(
-    np.concatenate((np.arange(24).reshape(2, 6, 2)[:, rows].ravel(), [24, 25])) for rows in _ROWS
-)
 # Most sweep results (cells x threshold exponents) held in memory
 MAX_CELLS = 2**16
 # Most cells of a row refined together: a cell's brackets take about 130 kB
@@ -102,39 +97,41 @@ class Fig4Trace:
 def _scan_setup(p, t_max):
     """Modes and scan length for one point.  Rejects a phase E1*t_max that
     double precision cannot resolve and a scan longer than MAX_SAMPLES."""
-    w, e = sector_modes(p)
+    m, e = sector_modes(p)
     _check_phase(e, t_max)
     step = SCAN_STEP_BASE / max(1.0, p.g1, p.g_prime)
     n = int(np.ceil(t_max / step))
     if n > MAX_SAMPLES:
         raise ValueError(f"the scan needs {n} samples, more than {MAX_SAMPLES}: lower t_max")
-    return w, e, n
+    return m, e, n
 
 
 def _scan(p, t_max):
     """Dense deterministic scan over [_T_FLOOR, t_max].
 
-    Returns ``(w, e, pts)``: the modes and a point table with rows
+    Returns ``(m, e, pts)``: the modes and a point table with rows
     t, r = P1 + P2, P3, P4.
     """
-    w, e, n = _scan_setup(p, t_max)
+    m, e, n = _scan_setup(p, t_max)
     times = np.linspace(0.0, t_max, n + 1)
     # rows P1..P4 become t, r, P3, P4 in place; the times then live in row 0 only
-    pts = _kernels.grid_probs(w, e, t_max, n + 1)
+    pts = _kernels.grid_probs(m, e, t_max, n + 1)
     pts[1] += pts[0]
     pts[0] = times
     pts[0, 0] = min(_T_FLOOR, pts[0, 1])
-    return w, e, pts
+    return m, e, pts
 
 
-def _peaks(x, wins=np.greater_equal):
-    """Indices where ``wins(x, neighbour)`` holds for both neighbours (a
-    missing neighbour never wins): the 3-point maxima of x, or with
-    ``np.less_equal`` its 3-point minima."""
+def _peaks(x, minima=False):
+    """Indices of the 3-point maxima of x, or with ``minima`` its 3-point
+    minima: samples that tie or beat their right neighbour and strictly
+    beat their left one (a missing neighbour never wins), so a tied plateau
+    counts once, at its first sample."""
+    ties, beats = (np.less_equal, np.less) if minima else (np.greater_equal, np.greater)
     ok = np.empty(x.size, dtype=bool)
-    wins(x[:-1], x[1:], out=ok[:-1])
+    ties(x[:-1], x[1:], out=ok[:-1])
     ok[-1] = True
-    ok[1:] &= wins(x[1:], x[:-1])
+    ok[1:] &= beats(x[1:], x[:-1])
     return np.flatnonzero(ok)
 
 
@@ -148,14 +145,14 @@ def _around(times, idx):
     return times[np.maximum(idx - 1, 0)], times[hi]
 
 
-def _curvature_bound(m):
-    """L2 >= |r''| everywhere, for r = a1^2 + a2^2, from the weights ``m``
+def _curvature_bound(d):
+    """L2 >= |r''| everywhere, for r = a1^2 + a2^2, from the weights ``d``
     of ``_kernels.derivative_weights``.
 
     r'' = 2 (a1'^2 + a1 a1'' + a2'^2 + a2 a2''), and a row's sum of |weights|,
     sum_j |w_kj| E_j^i for its derivative i, bounds its magnitude.
     """
-    c, s = np.abs(m).sum(axis=2).tolist()
+    c, s = np.abs(d).sum(axis=2).tolist()
     return 2.0 * (s[2] * s[2] + c[0] * c[4] + c[2] * c[2] + s[0] * s[4])
 
 
@@ -186,11 +183,11 @@ class _Cell:
 
 def _cell(p, t_max, thresholds):
     """Scan one point and cut its point table down to a ``_Cell``."""
-    w, e, pts = _scan(p, t_max)
+    m, e, pts = _scan(p, t_max)
     times, r, p3 = pts[0], pts[1], pts[2]
-    m = _kernels.derivative_weights(w, e)
+    d = _kernels.derivative_weights(m, e)
     h = t_max / (times.size - 1)
-    dip = _peaks(r, np.less_equal)
+    dip = _peaks(r, minima=True)
     dip_r = r[dip]
     # the first sample of smallest r is the first dip of smallest r
     best = pts[:, dip[np.argmin(dip_r)]].copy()
@@ -198,7 +195,7 @@ def _cell(p, t_max, thresholds):
     # |t* - t_i| <= h at a dip's minimum t*, so r(t*) >= r(t_i) - L2 h^2 / 2:
     # a dip sampled above this cap refines above both the largest threshold
     # and the best sample, and can be neither feasible nor the best residual
-    keep = dip_r <= max(top, best[1]) + 0.5 * _curvature_bound(m) * h * h
+    keep = dip_r <= max(top, best[1]) + 0.5 * _curvature_bound(d) * h * h
     dip, dip_r = dip[keep], dip_r[keep]
     peak = _peaks(p3)
     peak = peak[r[peak] <= top]
@@ -208,9 +205,8 @@ def _cell(p, t_max, thresholds):
         cut = np.flatnonzero(feas[:-1] != feas[1:])
         inside = np.where(feas[cut], cut, cut + 1)
         edges.append((pts[:, inside], times[np.where(feas[cut], cut + 1, cut)]))
-    modes = np.concatenate((m.ravel(), e))
     return _Cell(
-        p, tuple(modes[at] for at in _MODES), best,
+        p, tuple(np.concatenate((d[:, rows].ravel(), e)) for rows in _ROWS), best,
         *_around(times, dip), dip_r, pts[:, peak], *_around(times, peak), tuple(edges),
     )
 
@@ -300,7 +296,7 @@ def _solve_groups(kind, groups):
     sizes = [lo.size for _, lo, _, _ in groups]
     if not any(sizes):
         return [np.empty((4, 0))] * len(groups)
-    table = np.empty((_MODES[kind].size + 1, len(groups)))
+    table = np.empty((groups[0][0].modes[kind].size + 1, len(groups)))
     for j, (c, _, _, level) in enumerate(groups):
         table[:-1, j] = c.modes[kind]
         table[-1, j] = level

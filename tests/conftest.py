@@ -14,6 +14,27 @@ def random_hermitian():
     return _random_hermitian
 
 
+def _amplitude_rows(m, e, times):
+    """Rows a1..a4 of the closed form with modes ``(m, e)`` of
+    ``dynamics.sector_modes``, and their first two time derivatives, at
+    scalar or 1-d ``times``: three arrays of shape ``(4,) + shape(times)``."""
+    from squidcavity import _kernels
+
+    pad = (1,) * np.ndim(times)
+    d = _kernels.derivative_weights(m, e).reshape((2, 6, 2) + pad)
+    c, s = _kernels.derivative_rows(d, e.reshape((2,) + pad), times)
+    return (
+        np.stack((c[0], s[0], c[1], s[1])),
+        np.stack((s[2], c[2], s[3], c[3])),
+        np.stack((c[4], s[4], c[5], s[5])),
+    )
+
+
+@pytest.fixture
+def amplitude_rows():
+    return _amplitude_rows
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)

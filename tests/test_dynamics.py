@@ -180,11 +180,12 @@ def test_two_path_agreement_random(rng):
         assert np.max(np.abs(via_eig - via_series)) < 1e-8
 
 
-def test_sector_modes_reproduce_trace():
+def test_sector_modes_reproduce_trace(amplitude_rows):
     p = CouplingParams.symmetric(0.6, 1.37)
-    w, lam = sector_modes(p)
+    m, lam = sector_modes(p)
+    assert m.shape == (2, 2, 2)
     tr = trace(p, t_max=20.0, n_steps=101)
-    p1, p2, p3, p4 = _kernels.mode_amplitudes(w, lam, tr.times) ** 2
+    p1, p2, p3, p4 = amplitude_rows(m, lam, tr.times)[0] ** 2
     assert np.max(np.abs(p1 - tr.probs[:, 0])) < 1e-12
     assert np.max(np.abs(p3 - tr.probs[:, 2])) < 1e-12
     assert np.max(np.abs(p4 - tr.probs[:, 3])) < 1e-12
@@ -200,14 +201,14 @@ _RNG_POINTS = np.random.default_rng(20261018).uniform(0.05, 3.0, (4, 2))
     CouplingParams.symmetric(0.0, 1.0),  # E1 = E3: degenerate SVD
     CouplingParams(0.8, 0.8, 2.3, 2.3, 1.1),
 ], ids=lambda p: f"g={p.g1:.3g},gp={p.g_prime:.3g},om={p.omega1:.3g}")
-def test_closed_form_matches_oracle(p):
-    w, e = sector_modes(p)
+def test_closed_form_matches_oracle(p, amplitude_rows):
+    m, e = sector_modes(p)
     spectrum = analytic_eigenvalues(p)
     assert np.allclose(e, [spectrum[5], spectrum[3]], rtol=0, atol=1e-12)
     h = build_h_full(p)
     d0 = dark_state_full(p)
     times = np.array([0.0, 0.37, 3.1, 16.1, 77.7, 200.0])
-    scan = (_kernels.mode_amplitudes(w, e, times) ** 2).T
+    scan = (amplitude_rows(m, e, times)[0] ** 2).T
     for t, probs in zip(times, scan):
         ref = propagator_oracle(h, t) @ d0
         # the full 6-vector, so nothing may leak into the antisymmetric sector
@@ -217,22 +218,22 @@ def test_closed_form_matches_oracle(p):
 
 @pytest.mark.parametrize("g,gp", [(0.6, 1.37), (2.95, 1.10), (0.7, 0.0), (0.0, 1.0)],
                          ids=["paper", "large-g", "gprime-off", "E1=E3"])
-def test_mode_derivatives_match_central_differences(g, gp):
-    w, e = sector_modes(CouplingParams.symmetric(g, gp))
+def test_mode_derivatives_match_central_differences(g, gp, amplitude_rows):
+    m, e = sector_modes(CouplingParams.symmetric(g, gp))
     times = np.array([0.0, 0.37, 3.1, 16.1, 77.7])
-    a, da, dda = _kernels.mode_derivatives(w, e, times)
-    amp = lambda t: _kernels.mode_amplitudes(w, e, t)
+    a, da, dda = amplitude_rows(m, e, times)
+    amp = lambda t: amplitude_rows(m, e, t)[0]
     assert np.allclose(a, amp(times), rtol=0, atol=1e-14)
     h = 1e-5
     assert np.allclose(da, (amp(times + h) - amp(times - h)) / (2 * h), rtol=0, atol=1e-8)
     h = 1e-4
     second = (amp(times + h) - 2 * amp(times) + amp(times - h)) / (h * h)
     assert np.allclose(dda, second, rtol=0, atol=2e-6)
-    scalar = _kernels.mode_derivatives(w, e, 3.1)
+    scalar = amplitude_rows(m, e, 3.1)
     assert all(np.allclose(s, v[:, 2], rtol=0, atol=1e-14) for s, v in zip(scalar, (a, da, dda)))
 
 
-@pytest.mark.parametrize("m", [2, 3, 16, 17, 27401])
+@pytest.mark.parametrize("n", [2, 3, 16, 17, 27401])
 @pytest.mark.parametrize("p", [
     CouplingParams.symmetric(0.6, 1.37),
     CouplingParams.symmetric(0.0, 1.3),
@@ -240,12 +241,14 @@ def test_mode_derivatives_match_central_differences(g, gp):
     CouplingParams.symmetric(0.0, 1.0),  # E1 = E3
     CouplingParams(0.8, 0.8, 2.3, 2.3, 1.1),
 ], ids=lambda p: f"g={p.g1:.3g},gp={p.g_prime:.3g},om={p.omega1:.3g}")
-def test_grid_probs_match_mode_amplitudes(p, m):
-    w, e = sector_modes(p)
-    h = 200.0 / (m - 1)
-    probs = _kernels.grid_probs(w, e, 200.0, m)
-    assert probs.shape == (4, m)
-    assert np.max(np.abs(probs - _kernels.mode_amplitudes(w, e, np.arange(m) * h) ** 2)) <= 1e-12
+def test_grid_probs_match_mode_amplitudes(p, n):
+    m, e = sector_modes(p)
+    ph = np.multiply.outer(e, np.arange(n) * (200.0 / (n - 1)))
+    # the closed form by direct trigonometry
+    (a1, a3), (a2, a4) = m[0] @ np.cos(ph), m[1] @ np.sin(ph)
+    probs = _kernels.grid_probs(m, e, 200.0, n)
+    assert probs.shape == (4, n)
+    assert np.max(np.abs(probs - np.array([a1, a2, a3, a4]) ** 2)) <= 1e-12
 
 
 def test_unresolvable_times_and_oversized_grids_are_rejected(forbid_large_grids):

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -160,12 +161,12 @@ _BRUTE_POINTS = (
 
 
 @pytest.mark.parametrize("g,gp", _BRUTE_POINTS, ids=lambda v: f"{v:g}")
-def test_find_t0_beats_brute_force_on_a_finer_grid(g, gp):
+def test_find_t0_beats_brute_force_on_a_finer_grid(g, gp, amplitude_rows):
     p = CouplingParams.symmetric(g, gp)
-    w, e = sector_modes(p)
+    m, e = sector_modes(p)
     step = opt.SCAN_STEP_BASE / (4.0 * max(1.0, g, gp))
     times = np.linspace(0.0, 200.0, int(np.ceil(200.0 / step)) + 1)[1:]
-    p1, p2, p3, _ = _kernels.mode_amplitudes(w, e, times) ** 2
+    p1, p2, p3, _ = amplitude_rows(m, e, times)[0] ** 2
     h, d0 = build_h_full(p), dark_state_full(p)
     for threshold in (1e-6, 1e-3, 1e-1):
         res = find_t0(p, threshold)
@@ -180,10 +181,15 @@ def test_find_t0_beats_brute_force_on_a_finer_grid(g, gp):
 
 
 def _count_kernel_calls(monkeypatch):
-    """Count evaluations in _kernels called from outside it."""
+    """Count calls of public _kernels functions made from outside it."""
     calls = [0]
     depth = [0]
-    for name in ("mode_amplitudes", "mode_derivatives", "derivative_rows", "grid_probs"):
+    public = [
+        name for name, fn in inspect.getmembers(_kernels, inspect.isfunction)
+        if not name.startswith("_") and fn.__module__ == _kernels.__name__
+    ]
+    assert public
+    for name in public:
         def counted(*args, _fn=getattr(_kernels, name)):
             calls[0] += depth[0] == 0
             depth[0] += 1
@@ -206,11 +212,11 @@ def test_kernel_evaluations_per_find_t0(monkeypatch, g, gp, threshold):
 @pytest.mark.parametrize("g,gp", [(0.6, 1.37), (2.95, 1.10), (0.7, 0.0)])
 def test_scan_table_is_the_grid_evaluation(g, gp):
     p = CouplingParams.symmetric(g, gp)
-    w, e, n = opt._scan_setup(p, 200.0)
+    m, e, n = opt._scan_setup(p, 200.0)
     pts = opt._scan(p, 200.0)[2]
     times = np.linspace(0.0, 200.0, n + 1)
     times[0] = opt._T_FLOOR
-    probs = _kernels.grid_probs(w, e, 200.0, n + 1)
+    probs = _kernels.grid_probs(m, e, 200.0, n + 1)
     assert np.array_equal(pts[0], times)
     assert np.array_equal(pts[1], probs[0] + probs[1])
     assert np.array_equal(pts[2:], probs[2:])
@@ -297,13 +303,8 @@ def test_bracket_evaluation_is_independent_of_batch_size():
         for j in range(0, 1000, 25):
             alone = opt._solve(kind, lo[j:j + 1], hi[j:j + 1], q[:, j:j + 1])
             assert np.array_equal(alone[:, 0], batch[:, j])
-            w, e = modes[owner[j]]
+            e = modes[owner[j]][1]
             assert np.array_equal(_kernels.derivative_rows(weights[..., j], e, lo[j]), rows[..., j])
-            c, s = rows[..., j]
-            a, da, dda = _kernels.mode_derivatives(w, e, lo[j])
-            assert np.array_equal(a, [c[0], s[0], c[1], s[1]])
-            assert np.array_equal(da, [s[2], c[2], s[3], c[3]])
-            assert np.array_equal(dda, [c[4], s[4], c[5], s[5]])
 
 
 @pytest.mark.parametrize("threshold", [1e-6, 1e-1])
@@ -314,7 +315,7 @@ def test_pruned_dips_refine_above_threshold_and_best_sample(threshold):
         p = CouplingParams.symmetric(g, gp)
         cell = opt._cell(p, 200.0, [threshold])
         times, r = opt._scan(p, 200.0)[2][:2]
-        lo, hi = opt._around(times, opt._peaks(r, np.less_equal))
+        lo, hi = opt._around(times, opt._peaks(r, minima=True))
         # every 3-point dip, refined by the same solve without pruning
         (dips,) = opt._solve_groups(opt._DIP, [(cell, lo, hi, 0.0)])
         kept = set(zip(cell.dip_lo.tolist(), cell.dip_hi.tolist()))
@@ -323,6 +324,18 @@ def test_pruned_dips_refine_above_threshold_and_best_sample(threshold):
         assert np.all(dips[1, out] > max(threshold, r.min()))
         pruned += out.sum()
     assert pruned > 0
+
+
+def test_flat_series_keep_one_bracket_per_plateau():
+    thresholds = [1e-6, 1e-1]
+    # g' = 0: r is constant up to rounding; at g = 0.5 it has one value
+    assert opt._cell(CouplingParams.symmetric(0.5, 0.0), 200.0, thresholds).dip_lo.size == 1
+    # g = 0: P3 is flat at 0 from t = 0 on, where r = 1 is infeasible
+    assert opt._cell(CouplingParams.symmetric(0.0, 1.0), 200.0, thresholds).peak_lo.size == 0
+    # at g = 1 r wobbles by about 3e-16 around 1/3
+    p = CouplingParams.symmetric(1.0, 0.0)
+    n = opt._scan_setup(p, 200.0)[2] + 1
+    assert opt._cell(p, 200.0, thresholds).dip_lo.size <= 0.01 * n
 
 
 def test_oversized_scans_are_rejected_before_allocation(forbid_large_grids):
