@@ -9,6 +9,7 @@ byte-identical output.  Exit codes: 0 success, 1 usage/validation error,
 import argparse
 import json
 import sys
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -34,21 +35,42 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _fmt(x):
-    return f"{float(x):.17g}"
-
-
 def _num(x):
     x = float(x)
     return x if np.isfinite(x) else None
 
 
-_CELL = {bool: lambda v: "true" if v else "false", int: str, str: str}
+def _json(v, pad=""):
+    """``json.dumps(v, indent=2)`` at indent ``pad``, keys being strings.  A non-empty
+    list of finite floats, or of non-empty such lists, is one repr given json's line breaks."""
+    ind = pad + "  "
+    if isinstance(v, dict):
+        items, ends = [f"{json.dumps(k)}: {_json(x, ind)}" for k, x in v.items()], "{}"
+    elif isinstance(v, (list, tuple)):
+        nested = type(v) is list and set(map(type, v)) == {list} and all(v)
+        floats = set(map(type, chain.from_iterable(v) if nested else v)) == {float}
+        # a float repr holds an "n" only for nan and inf, which json spells NaN and Infinity
+        if type(v) is list and floats and "n" not in (text := repr(v)):
+            cell, head, tail = ind + "  " * nested, nested * f"{ind}[\n", nested * f"\n{ind}]"
+            text = text.replace("], [", f"\n{ind}],\n{ind}[\n{cell}").replace(", ", ",\n" + cell)
+            return f"[\n{head}{cell}{text[1 + nested:-1 - nested]}{tail}\n{pad}]"
+        items, ends = [_json(x, ind) for x in v], "[]"
+    else:
+        return json.dumps(v)
+    body = f",\n{ind}".join(items)  # one f-string, so the large body is copied once
+    return f"{ends[0]}\n{ind}{body}\n{pad}{ends[1]}" if items else ends
 
 
-def _line(row):
-    """One CSV line; cells are formatted by type, anything else by _fmt."""
-    return ",".join([_CELL.get(type(v), _fmt)(v) for v in row])
+def _lines(rows):
+    """CSV lines of ``rows`` in one %-format built from the first row's cell
+    types: a bool as true/false, an int or str as it is, anything else %.17g."""
+    rows = iter(rows)
+    first = next(rows, ())
+    fmt = ",".join(["%s" if type(v) in (bool, int, str) else "%.17g" for v in first])
+    rows = chain([first], rows) if first else ()
+    if bool in map(type, first):
+        rows = (tuple([("false", "true")[v] if type(v) is bool else v for v in r]) for r in rows)
+    return list(map(fmt.__mod__, rows))
 
 
 # Every flag by destination (the flag is "--" + dest with "-" for "_"); a
@@ -166,15 +188,16 @@ def _head(command, p):
             "g": _num(p.g1), "gprime": _num(p.g_prime)}
 
 
-# Each command returns (JSON payload, CSV header, CSV rows); a row's cells
-# are formatted by type, so a constant run of columns can be one str cell.
+# Each command returns (JSON payload, CSV header, CSV rows), the rows as a
+# function called only for CSV; a row's cells are formatted by type, so a
+# constant run of columns can be one str cell.
 def _eig(ns):
     p = _point(ns)
     analytic = analytic_eigenvalues(p).tolist()
     print(UNIT_BANNER, file=sys.stderr)
     numeric = spectrum(p).tolist()
     payload = {**_head("eig", p), "analytic": analytic, "numeric": numeric}
-    return payload, "n,analytic,numeric", zip(range(6), analytic, numeric)
+    return payload, "n,analytic,numeric", lambda: zip(range(6), analytic, numeric)
 
 
 def _evolve(ns):
@@ -186,7 +209,7 @@ def _evolve(ns):
     pairs = [[a.real, a.imag] for a in psi.tolist()]
     payload = {**_head("evolve", p), "t": float(ns.t), "amplitudes": pairs,
                "probabilities": [float(v) for v in probs]}
-    return payload, "label,re,im", ((str(label), *pair) for label, pair in zip(PHI_BASIS, pairs))
+    return payload, "label,re,im", lambda: ((str(lb), *pair) for lb, pair in zip(PHI_BASIS, pairs))
 
 
 def _trace(ns):
@@ -194,8 +217,8 @@ def _trace(ns):
     tr = trace(p, t_max=ns.t_max, n_steps=ns.n_steps)
     times, rows = tr.times.tolist(), tr.probs.tolist()
     payload = {**_head("trace", p), "times": times, "rows": rows}
-    sums = tr.probs.sum(axis=1).tolist()
-    return payload, "t,P1,P2,P3,P4,sum", ((t, *row, s) for t, row, s in zip(times, rows, sums))
+    return payload, "t,P1,P2,P3,P4,sum", lambda: zip(
+        times, *zip(*rows), tr.probs.sum(axis=1).tolist())
 
 
 def _optimize(ns):
@@ -211,7 +234,7 @@ def _optimize(ns):
     }
     row = (p.g1, p.g_prime, j, bool(res.feasible), res.t0, res.p1p2, res.p3, res.p4,
            res.pi_over_gprime)
-    return payload, "g,gprime,j,feasible,t0,p1p2,p3,p4,pi_over_gprime", [row]
+    return payload, "g,gprime,j,feasible,t0,p1p2,p3,p4,pi_over_gprime", lambda: [row]
 
 
 def _sweep(ns):
@@ -225,17 +248,17 @@ def _sweep(ns):
 
     grids = sweep((g_lo, g_hi), (gp_lo, gp_hi), (g_n, gp_n), exps, t_max=ns.t_max,
                   progress=progress)
-    out, rows = [], []
+    out = []
     for grid in grids:
         j, g_values, gp_values = grid.threshold_exponent, grid.g_values.tolist(), grid.gprime_values.tolist()
         cells = [[{"feasible": bool(c.feasible), "t0": float(c.t0), "p3": float(c.p3),
                    "p1p2": float(c.p1p2)} for c in row] for row in grid.cells]
         out.append({"j": j, "g_values": g_values, "gprime_values": gp_values, "cells": cells})
-        rows += [(g, gp, j, *cell.values())
-                 for g, row in zip(g_values, cells) for gp, cell in zip(gp_values, row)]
     payload = {"schema_version": SCHEMA_VERSION, "command": "sweep",
                "t_max": float(ns.t_max), "grids": out}
-    return payload, "g,gprime,j,feasible,t0,p3,p1p2", rows
+    return payload, "g,gprime,j,feasible,t0,p3,p1p2", lambda: [
+        (g, gp, d["j"], *cell.values()) for d in out
+        for g, row in zip(d["g_values"], d["cells"]) for gp, cell in zip(d["gprime_values"], row)]
 
 
 def _fig4(ns):
@@ -246,7 +269,7 @@ def _fig4(ns):
     else:
         params = [_point(ns)]
     bundles = emit_fig4_traces(params, t_max=ns.t_max, n_steps=ns.n_steps, threshold=threshold)
-    out, rows = [], []
+    out, parts = [], []
     for b in bundles:
         p, res = b.trace.params, b.result
         times, probs = b.trace.times.tolist(), b.trace.probs.tolist()
@@ -256,13 +279,14 @@ def _fig4(ns):
             "t0": float(res.t0), "p3_at_t0": float(res.p3), "p1p2_at_t0": float(res.p1p2),
             **{name: _num(v) for name, v in zip(_FIG4_NOTES, notes)}, "times": times, "rows": probs,
         })
-        point = _line((p.g1, p.g_prime))
-        annot = _line((bool(res.feasible), res.t0, res.p3, res.p1p2, *notes))
-        rows += [(point, t, *row, annot) for t, row in zip(times, probs)]
+        parts.append(((p.g1, p.g_prime), times, probs,
+                      (bool(res.feasible), res.t0, res.p3, res.p1p2, *notes)))
     payload = {"schema_version": SCHEMA_VERSION, "command": "fig4", "threshold": threshold,
                "bundles": out}
     header = "g,gprime,t,P1,P2,P3,P4,feasible,t0,p3_at_t0,p1p2_at_t0," + ",".join(_FIG4_NOTES)
-    return payload, header, rows
+    return payload, header, lambda: chain.from_iterable(
+        zip(repeat(*_lines([point])), times, *zip(*probs), repeat(*_lines([annot])))
+        for point, times, probs, annot in parts)
 
 
 # name: (help, flags besides _COMMON, handler); each command has the flags it reads
@@ -278,12 +302,13 @@ _COMMANDS = {
              (*_POINT, "t_max", "n_steps", "threshold_exp"), _fig4),
 }
 
+
 def _render(payload, header, rows, ns):
     fmt = ns.format or ("csv" if ns.out and str(ns.out).endswith(".csv") else "json")
     if fmt == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json(payload) + "\n"
     else:
-        text = "\n".join([header, *map(_line, rows)]) + "\n"
+        text = "\n".join([header, *_lines(rows()), ""])
     if ns.out:
         with open(ns.out, "w", newline="\n") as fh:
             fh.write(text)

@@ -54,6 +54,7 @@ CASES = {
     "fig4-uncoupled-csv": ("fig4", *UNCOUPLED, "--t-max", "20", "--n-steps", "11",
                            "--format", "csv"),
     "fig4-paper-json": ("fig4", "--n-steps", "11"),
+    "fig4-paper-csv": ("fig4", "--n-steps", "11", "--format", "csv"),
     "error-missing-g": ("eig",),
     "error-asymmetric-eig": ("eig", "--g1", "0.5", "--g2", "0.7", "--omega1", "1",
                              "--omega2", "1.2", "--gprime", "0.9"),

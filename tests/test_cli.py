@@ -1,8 +1,10 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from squidcavity import cli
 from squidcavity.cli import main
 from squidcavity.model import CouplingParams, analytic_eigenvalues
 
@@ -245,3 +247,49 @@ def test_fig4_small(capsys):
     gp = 1.37
     assert abs(float(first[11]) - np.pi / gp) < 1e-12
     assert abs(float(first[13]) - abs(t0 - np.pi / gp)) < 1e-10
+
+
+_EDGE_PAYLOADS = [
+    {}, [], [[]], [1, 2.0], [True, 1.0], None, "ünïcode ☃", {"κ": ["é", 1.0]},
+    [1.0, float("nan"), 2.0], [float("inf"), 1.0], [-float("inf")],
+    [[1.0, 2.0], [float("nan"), 1.0]], [[1.0], [float("-inf")]],
+    [-0.0, 5e-324, 1e16, 1e-05, 0.1, 1.7976931348623157e308],
+    [np.float64(0.5), 1.0], [[np.float64(0.1), 0.2]], np.float64(-0.0),
+    [[1.0, 2.0], [3.0]], [[1.0], []], [[1.0], 2.0], [[[1.0, 2.0]]], (1.0,), (1.0, 2.0),
+    {"times": [0.0, 0.5], "rows": [[0.25, 0.75], [1.0, 0.0]], "nested": {"v": [2.5], "e": {}}},
+]
+
+
+@pytest.mark.parametrize("payload", _EDGE_PAYLOADS, ids=repr)
+def test_json_writer_matches_json_dumps(capsys, payload):
+    cli._render(payload, "", None, SimpleNamespace(format="json", out=None))
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+
+def _old_line(row):
+    """Reference CSV line: each cell formatted on its own by its type."""
+    cell = {bool: lambda v: "true" if v else "false", int: str, str: str}
+    return ",".join([cell.get(type(v), lambda x: f"{float(x):.17g}")(v) for v in row])
+
+
+def test_csv_row_writer_matches_per_cell_formatting():
+    rows = [
+        (True, 3, "φ0", 0.1, np.float64(2.5), -0.0, float("nan"), float("inf"), -float("inf")),
+        (False, -7, "x", 1e-300, np.float64(-1e16), 5e-324, 1.0, 123456789.125, 0.0),
+    ]
+    assert cli._lines(rows) == [_old_line(r) for r in rows]
+    assert cli._lines([rows[1][3:]]) == [_old_line(rows[1][3:])]
+    assert cli._lines([]) == []
+
+
+def test_fig4_json_avoids_the_pure_python_encoder(capsys, monkeypatch):
+    # json.dumps(indent=...) always runs the pure-Python encoder built by
+    # json.encoder._make_iterencode, the cost the writer exists to avoid
+    def refuse(*args, **kwargs):
+        raise AssertionError("pure-Python JSON encoder used")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    code, out, _ = run(capsys, "fig4")
+    assert code == 0
+    bundles = json.loads(out)["bundles"]
+    assert len(bundles) == 3 and all(len(b["rows"]) == len(b["times"]) > 1000 for b in bundles)
