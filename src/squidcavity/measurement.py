@@ -5,11 +5,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DimensionError
-from .model import PHI_BASIS, PSI_BASIS, BasisLabel
-
-# phi-basis indices with the auxiliary in |g> / |e>
-AUX_G_INDICES = (0, 1, 2, 4, 5)
-AUX_E_INDICES = (3,)
+from .model import AUX_E_INDICES, AUX_G_INDICES, PSI_BASIS, BasisLabel
+from .model import embed_aux_ground  # noqa: F401  (re-exported)
 
 UNREACHABLE_CUTOFF = 1e-14
 
@@ -69,16 +66,6 @@ def fidelity(psi, target):
             f"state shapes differ: {psi.shape} vs {target.shape}"
         )
     return float(np.abs(np.vdot(target, psi)) ** 2)
-
-
-def embed_aux_ground(psi5):
-    """Tensor a psi-basis state with the auxiliary ground state (phi basis)."""
-    psi5 = np.asarray(psi5, dtype=np.complex128)
-    if psi5.shape != (5,):
-        raise DimensionError(f"expected a 5-dim psi-basis state, got {psi5.shape}")
-    out = np.zeros(6, dtype=np.complex128)
-    out[list(AUX_G_INDICES)] = psi5
-    return out
 
 
 def target_c_with_vacuum():

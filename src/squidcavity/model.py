@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eig
+from .linalg import DimensionError, hermitian_eig
 
 SQRT2 = np.sqrt(2.0)
 # Largest coupling accepted: at Omega = 1, eta = 1 + 2 g^2 + g'^2 and eta^2 stay finite
@@ -111,6 +111,10 @@ PHI_BASIS = (
     BasisLabel("0", "1", 0, "g"),
 )
 
+# phi = psi (x) |g> + |00,0ph,e>: PSI_BASIS[j] sits at phi index AUX_G_INDICES[j]
+AUX_G_INDICES = (0, 1, 2, 4, 5)
+AUX_E_INDICES = (3,)
+
 # two-SQUID basis used for the target states
 TWO_SQUID_BASIS = (
     BasisLabel("1", "0", 0),
@@ -143,13 +147,11 @@ def build_h0(p):
 
 
 def build_h_full(p):
-    """6x6 Hamiltonian including the auxiliary SQUID, phi basis."""
+    """6x6 Hamiltonian including the auxiliary SQUID, phi basis: H0 on the
+    |g> states plus the g' exchange of the photon with |00,0ph,e>."""
     h = np.zeros((6, 6), dtype=np.complex128)
-    h[1, 0] = h[0, 1] = p.g1
-    h[2, 0] = h[0, 2] = p.g2
-    h[3, 0] = h[0, 3] = p.g_prime
-    h[1, 4] = h[4, 1] = p.omega1
-    h[2, 5] = h[5, 2] = p.omega2
+    h[np.ix_(AUX_G_INDICES, AUX_G_INDICES)] = build_h0(p)
+    h[AUX_G_INDICES[0], AUX_E_INDICES[0]] = h[AUX_E_INDICES[0], AUX_G_INDICES[0]] = p.g_prime
     return h
 
 
@@ -260,14 +262,19 @@ def dark_state(p):
     return vec
 
 
+def embed_aux_ground(psi5):
+    """Tensor a psi-basis state with the auxiliary ground state (phi basis)."""
+    psi5 = np.asarray(psi5, dtype=np.complex128)
+    if psi5.shape != (5,):
+        raise DimensionError(f"expected a 5-dim psi-basis state, got {psi5.shape}")
+    out = np.zeros(6, dtype=np.complex128)
+    out[list(AUX_G_INDICES)] = psi5
+    return out
+
+
 def dark_state_full(p):
     """Dark state tensored with the auxiliary ground state, phi basis."""
-    d = dark_state(p)
-    vec = np.zeros(6, dtype=np.complex128)
-    vec[0] = d[0]
-    vec[4] = d[3]
-    vec[5] = d[4]
-    return vec
+    return embed_aux_ground(dark_state(p))
 
 
 def target_states():

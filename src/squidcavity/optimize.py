@@ -9,6 +9,7 @@ once; infeasible cells are first-class results carrying the best residual
 found.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,10 @@ class OptimizeResult:
     p1p2: float
     p3: float
     p4: float
-    pi_over_gprime: float
+
+    @property
+    def pi_over_gprime(self):
+        return np.pi / self.params.g_prime if self.params.g_prime > 0 else np.inf
 
     @property
     def pi_over_2gprime(self):
@@ -251,10 +255,9 @@ def _solve(kind, lo, hi, q):
     solve.  The result is the last point evaluated with f <= 0, so an edge
     is feasible under the same closed form; a bracket without the sign
     change f(lo) <= 0 < f(hi) returns its midpoint.  Every bracket's result
-    depends on that bracket alone.  Returns the point table.
+    depends on that bracket alone.  Returns the point table; ``lo`` must
+    not be empty.
     """
-    if lo.size == 0:
-        return np.empty((4, 0))
     mid = 0.5 * (lo + hi)
     f, df, pts = _equation(kind, q[:, None], np.stack((lo, hi, mid)))
     idx = np.flatnonzero((f[0] <= 0.0) & (f[1] > 0.0))
@@ -309,12 +312,8 @@ def _solve_groups(kind, groups):
 
 
 def _result(p, threshold, t_max, feasible, row):
-    gp = p.g_prime
-    return OptimizeResult(
-        params=p, threshold=threshold, t_max=t_max, feasible=feasible,
-        t0=float(row[0]), p1p2=float(row[1]), p3=float(row[2]), p4=float(row[3]),
-        pi_over_gprime=np.pi / gp if gp > 0 else np.inf,
-    )
+    t0, p1p2, p3, p4 = map(float, row)
+    return OptimizeResult(p, threshold, t_max, feasible, t0, p1p2, p3, p4)
 
 
 def _row(params, thresholds, t_max):
@@ -401,16 +400,21 @@ def sweep(
 ):
     """One SweepGrid per threshold exponent over a (g, g') grid.
 
-    ``steps`` is an int (same count per axis) or a pair.  Each cell is one
-    scan shared by all thresholds, and each of its results equals find_t0
-    at that threshold.  The cells of a row, up to _ROW_CELLS at a time, are
-    refined together; ``progress(done)`` is called once per cell after its
-    row part.  Grids over MAX_CELLS cell results are rejected.
+    ``steps`` is an int (same count per axis) or a pair of ints, and each
+    range a pair (low, high).  Each cell is one scan shared by all
+    thresholds, and each of its results equals find_t0 at that threshold.
+    The cells of a row, up to _ROW_CELLS at a time, are refined together;
+    ``progress(done)`` is called once per cell after its row part.  Grids
+    over MAX_CELLS cell results are rejected.
     """
-    if isinstance(steps, int):
-        steps = (steps, steps)
-    if steps[0] < 1 or steps[1] < 1:
-        raise ValueError("steps must be >= 1 per axis")
+    try:
+        steps = tuple(map(operator.index, (steps, steps) if np.ndim(steps) == 0 else steps))
+    except TypeError:
+        raise ValueError(f"steps must be an int or a pair of ints, got {steps!r}") from None
+    if len(steps) != 2 or min(steps) < 1:
+        raise ValueError(f"steps must be an int or a pair of ints, each >= 1, got {steps!r}")
+    if np.shape(g_range) != (2,) or np.shape(gprime_range) != (2,):
+        raise ValueError("ranges must be pairs (low, high)")
     if not (0 < g_range[0] <= g_range[1]) or not (0 < gprime_range[0] <= gprime_range[1]):
         raise ValueError("ranges must be positive and ordered")
     _check_t_max(t_max)

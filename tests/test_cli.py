@@ -150,6 +150,13 @@ def test_config_invalid_json(tmp_path, capsys):
     code, _, err = run(capsys, "eig", "--config", str(cfg))
     assert code == 1
     assert "error" in err
+    cfg.write_text("[1, 2]")
+    code, _, err = run(capsys, "eig", "--config", str(cfg))
+    assert code == 1
+    assert "must be a JSON object" in err
+    code, _, err = run(capsys, "eig", "--config", str(tmp_path / "missing.json"))
+    assert code == 1
+    assert "cannot read config" in err
 
 
 def test_bad_flags(capsys):

@@ -52,6 +52,9 @@ def test_non_hermitian_rejected():
     bad = np.array([[0.0, 1.0], [0.5, 0.0]])
     with pytest.raises(NonHermitianError, match=r"\(0,1\)|\(1,0\)"):
         hermitian_eig(bad)
+    for entry in (np.nan, np.inf, complex(0.0, np.nan)):
+        with pytest.raises(NonHermitianError, match="non-finite"):
+            hermitian_eig(np.array([[0.0, entry], [entry, 0.0]]))
 
 
 def test_dimension_limits():
@@ -116,6 +119,14 @@ def test_norm_preservation(rng, random_hermitian):
     for t in (0.0, 1.3, 50.0, 200.0):
         out = apply(propagator(eig, t), psi)
         assert abs(np.linalg.norm(out) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_propagators_reject_non_finite_time(t):
+    with pytest.raises(ValueError, match="finite"):
+        propagator(hermitian_eig(H2), t)
+    with pytest.raises(ValueError, match="finite"):
+        propagator_oracle(H2, t)
 
 
 def test_oracle_trivial_cases():

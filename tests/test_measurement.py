@@ -92,5 +92,9 @@ def test_postselection_pipeline_yields_target():
 def test_bad_inputs():
     with pytest.raises(DimensionError):
         postselect(np.ones(5), "g")
+    with pytest.raises(DimensionError):
+        embed_aux_ground(np.ones(6))
+    with pytest.raises(DimensionError):
+        amplitudes(np.ones(5))
     with pytest.raises(ValueError):
         postselect(np.ones(6) / np.sqrt(6), "x")

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -6,7 +7,12 @@ import pytest
 
 from squidcavity.linalg import hermitian_eig
 from squidcavity.model import (
+    AUX_E_INDICES,
+    AUX_G_INDICES,
     MAX_COUPLING,
+    PHI_BASIS,
+    PSI_BASIS,
+    BasisLabel,
     CouplingParams,
     DarkStateUndefinedError,
     ExchangeSymmetryError,
@@ -38,6 +44,24 @@ def test_phi_basis_order():
     basis = enumerate_basis("N_one_with_aux")
     assert len(basis) == 6
     assert str(basis[3]) == "|00,0ph,e>"
+
+
+def test_aux_indices_match_labels():
+    # phi = psi (x) |g> + |00,0ph,e>, in the order the index tuples give
+    assert len(AUX_G_INDICES) == len(PSI_BASIS)
+    for j, label in enumerate(PSI_BASIS):
+        assert PHI_BASIS[AUX_G_INDICES[j]] == dataclasses.replace(label, auxiliary="g")
+    assert len(AUX_E_INDICES) == 1
+    assert str(PHI_BASIS[AUX_E_INDICES[0]]) == "|00,0ph,e>"
+    assert sorted(AUX_G_INDICES + AUX_E_INDICES) == list(range(len(PHI_BASIS)))
+
+
+@pytest.mark.parametrize("fields", [
+    ("2", "0", 0), ("0", "x", 0), ("0", "0", -1), ("0", "0", 0, "x"),
+])
+def test_basis_label_validation(fields):
+    with pytest.raises(ValueError):
+        BasisLabel(*fields)
 
 
 def test_single_excitation_in_both_subspaces():

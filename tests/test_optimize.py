@@ -41,6 +41,11 @@ def test_feasible_point():
     assert res.p3 == pytest.approx(0.89714, abs=1e-4)
     assert res.p3 + res.p4 + res.p1p2 == pytest.approx(1.0, abs=1e-8)
     assert res.pi_over_gprime == pytest.approx(np.pi / 1.37, abs=1e-12)
+    # pi/g' belongs to the result's couplings, also after replacing them
+    moved = dataclasses.replace(res, params=CouplingParams.symmetric(0.6, 0.5))
+    assert moved.pi_over_gprime == np.pi / 0.5
+    assert moved.pi_over_2gprime == np.pi / 0.5 / 2.0
+    assert dataclasses.replace(res, params=CouplingParams.symmetric(0.6, 0.0)).pi_over_gprime == np.inf
 
 
 def test_feasible_normalization_identity():
@@ -91,6 +96,20 @@ def test_validation():
         sweep((0.5, 1.0), (0.5, 1.5), (2, 3), [1, 1])
     with pytest.raises(ValueError, match="threshold must lie in"):
         sweep((0.5, 1.0), (0.5, 1.0), (2, 1), [6, 400])  # 10^-400 underflows to 0
+    for steps in (0, (2, 0), 2.0, (2, 2.0), (2, 3, 4), (2,), "2"):
+        with pytest.raises(ValueError, match="steps"):
+            sweep((0.5, 1.0), (0.5, 1.0), steps, [1])
+    for g_range, gprime_range in (((0.5, 1.0), (0.5, 1.0, 2.0)), ((0.5,), (0.5, 1.0)), (0.5, (0.5, 1.0))):
+        with pytest.raises(ValueError, match="pairs"):
+            sweep(g_range, gprime_range, 2, [1])
+
+    def grids(steps):
+        return [(g.g_values.tolist(), g.gprime_values.tolist(), g.cells)
+                for g in sweep((0.5, 1.0), (0.5, 1.5), steps, [1], t_max=10.0)]
+
+    # numpy integers count as ints
+    assert grids(np.int64(2)) == grids(2)
+    assert grids((np.int64(2), np.int32(3))) == grids((2, 3)) == grids(np.array([2, 3]))
 
 
 def test_sweep_single_cell_matches_find_t0():
