@@ -26,6 +26,11 @@ class MeasurementOutcome:
     basis: tuple
 
 
+def _check_finite(state):
+    if not np.isfinite(state).all():
+        raise ValueError("the state has non-finite amplitudes")
+
+
 def postselect(psi, outcome):
     """Project a phi-basis state onto an auxiliary-SQUID outcome.
 
@@ -35,6 +40,7 @@ def postselect(psi, outcome):
     psi = np.asarray(psi, dtype=np.complex128)
     if psi.shape != (6,):
         raise DimensionError(f"expected a 6-dim phi-basis state, got {psi.shape}")
+    _check_finite(psi)
     if outcome not in ("g", "e"):
         raise ValueError(f"outcome must be 'g' or 'e', got {outcome!r}")
     if outcome == "g":
@@ -65,6 +71,8 @@ def fidelity(psi, target):
         raise DimensionError(
             f"state shapes differ: {psi.shape} vs {target.shape}"
         )
+    _check_finite(psi)
+    _check_finite(target)
     return float(np.abs(np.vdot(target, psi)) ** 2)
 
 

@@ -2,13 +2,19 @@
 
 The entanglement condition P1(t0) = P2(t0) = 0 is operationalized as
 P1 + P2 <= threshold.  Within the feasible set the target-state
-probability P3 is maximized: a dense deterministic scan brackets every
-candidate and one safeguarded Newton solve per equation on the
-closed-form derivatives refines them, for all cells of a sweep row at
-once; infeasible cells are first-class results carrying the best residual
-found.
+probability P3 is maximized.  The scan's step follows a curvature bound
+L >= |r''| for r = P1 + P2, so between two samples r stays above the
+quadratic minorant min(r_i, r_{i+1}) - L h^2 / 8 (Piyavskii-Shubert).  An
+interval whose minorant clears the level it must decide is excluded by
+that bound; every other interval is refined, by the dip of r next to it
+or by bisection.  One safeguarded Newton solve per equation on the
+closed-form derivatives then refines all candidates of a sweep row at
+once.  Every result carries a lower bound on min r over (0, t_max];
+infeasible cells are first-class results carrying the best residual
+found and a bound above their threshold.
 """
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -19,11 +25,18 @@ from .dynamics import DEFAULT_N_STEPS, DEFAULT_T_MAX, MAX_SAMPLES, sector_modes,
 from .dynamics import _check_phase, _check_t_max
 from .model import CouplingParams
 
-SCAN_STEP_BASE = 0.01
+# Slack of the scan's quadratic minorant, in units of r = P1 + P2: the step
+# h = sqrt(8 SCAN_SLACK / L) keeps r >= min(r_i, r_{i+1}) - SCAN_SLACK
+# between neighbouring samples
+SCAN_SLACK = 2e-3
 P3_TIE_TOL = 1e-9
 _T_FLOOR = 1e-12
 _X_TOL = 1e-12
 _MAX_ITER = 100
+# Bound on the error of a computed r, per unit of 1 + E1 t_max: 16 units of
+# 2^-52 in the phase (grid and direct evaluation differ by about a tenth of
+# one, 2.2e-14 at E1 t = 800)
+_R_ERROR = 16.0 * 2.0**-52
 # equations a solve can carry: r' = 0, r = level, P3' = 0
 _DIP, _EDGE, _P3MAX = 0, 1, 2
 # rows of _kernels.derivative_weights each equation reads: a1..a4, then
@@ -42,7 +55,9 @@ class OptimizeResult:
     """Best measurement time for one parameter point and threshold.
 
     For infeasible points ``t0`` is the time of the smallest residual
-    found and ``feasible`` is False.
+    found and ``feasible`` is False.  ``p1p2_bound`` is a lower bound on
+    P1 + P2 over (0, t_max] (see ``_select``); an infeasible result's bound
+    lies above its threshold unless its residual is within rounding of it.
     """
 
     params: object
@@ -53,6 +68,7 @@ class OptimizeResult:
     p1p2: float
     p3: float
     p4: float
+    p1p2_bound: float
 
     @property
     def pi_over_gprime(self):
@@ -98,20 +114,32 @@ class Fig4Trace:
         return abs(self.result.t0 - self.pi_over_2gprime)
 
 
+def _step_curvature(p):
+    """L = 4 eta >= |r''| and |P3''| at every t, eta = Omega^2 + 2 g^2 + g'^2.
+
+    The sector state is a unit vector with frequencies up to E1, so
+    |(a1', a2')| <= E1 and |(a1'', a2'')| <= E1^2; r'' = 2 (a1'^2 + a2'^2 +
+    a1 a1'' + a2 a2'') and P3'' = 2 (a3'^2 + a3 a3'') are then at most
+    4 E1^2 <= 4 eta.  Every operation is monotone, so L never decreases as g
+    or g' grows.
+    """
+    return 4.0 * (p.omega1 * p.omega1 + 2.0 * p.g1 * p.g1 + p.g_prime * p.g_prime)
+
+
 def _scan_setup(p, t_max):
-    """Modes and scan length for one point.  Rejects a phase E1*t_max that
+    """Modes and scan length for one point: n intervals of h = t_max / n <=
+    sqrt(8 SCAN_SLACK / L), at least one.  Rejects a phase E1*t_max that
     double precision cannot resolve and a scan longer than MAX_SAMPLES."""
     m, e = sector_modes(p)
     _check_phase(e, t_max)
-    step = SCAN_STEP_BASE / max(1.0, p.g1, p.g_prime)
-    n = int(np.ceil(t_max / step))
+    n = max(1, math.ceil(t_max * math.sqrt(_step_curvature(p) / (8.0 * SCAN_SLACK))))
     if n > MAX_SAMPLES:
         raise ValueError(f"the scan needs {n} samples, more than {MAX_SAMPLES}: lower t_max")
     return m, e, n
 
 
 def _scan(p, t_max):
-    """Dense deterministic scan over [_T_FLOOR, t_max].
+    """Deterministic scan over [_T_FLOOR, t_max].
 
     Returns ``(m, e, pts)``: the modes and a point table with rows
     t, r = P1 + P2, P3, P4.
@@ -139,14 +167,35 @@ def _peaks(x, minima=False):
     return np.flatnonzero(ok)
 
 
-def _around(times, idx):
-    """Bracket [t_{i-1}, t_{i+1}] around samples idx, clipped to the grid.
+def _bracket(times, x, idx):
+    """Brackets [t_{i-1}, t_{i+1}] around samples idx of x, clipped to the
+    grid, and the Newton starts in them (see ``_vertex``).
 
     Every probability is even in t, so t = 0 is an exact critical point: the
     first sample gets the empty bracket [t_0, t_0] and stays as sampled.
     """
-    hi = np.where(idx > 0, np.minimum(idx + 1, times.size - 1), 0)
-    return times[np.maximum(idx - 1, 0)], times[hi]
+    if not idx.size:
+        return np.empty(0), np.empty(0), np.empty(0)
+    left = np.maximum(idx - 1, 0)
+    right = np.where(idx > 0, np.minimum(idx + 1, times.size - 1), 0)
+    lo, hi = times[left], times[right]
+    return lo, hi, _vertex(lo, times[idx], hi, x[left], x[idx], x[right])
+
+
+def _vertex(lo, t, hi, left, mid, right):
+    """Vertex of the parabola through (lo, left), (t, mid), (hi, right), t the
+    midpoint of [lo, hi], clipped to [lo, hi]; t where the three are level.
+    A Newton solve started there takes about one step fewer than from t."""
+    den = (left - mid) + (right - mid)
+    flat = den == 0.0
+    x = t + 0.25 * (hi - lo) * (left - right) / (den + flat)
+    return np.where(flat, t, np.minimum(np.maximum(x, lo), hi))
+
+
+def _secant(t_in, r_in, t_out, r_out, level):
+    """Where the chord from (t_in, r_in) to (t_out, r_out) meets ``level``,
+    for r_in <= level < r_out: a Newton start for the edge between them."""
+    return t_in + (level - r_in) * (t_out - t_in) / (r_out - r_in)
 
 
 def _curvature_bound(d):
@@ -160,17 +209,30 @@ def _curvature_bound(d):
     return 2.0 * (s[2] * s[2] + c[0] * c[4] + c[2] * c[2] + s[0] * s[4])
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Cell:
     """What refinement and selection read of one point's scan.
 
     ``modes[kind]`` holds the weights and frequencies every bracket of
     equation ``kind`` carries (see ``_equation``); ``best`` is the sample of
-    smallest r; the dips are the 3-point minima of r that the curvature
-    bound keeps, with their brackets and sampled r; ``peaks`` are the
-    3-point maxima of P3 feasible at the largest threshold, with their
-    brackets; ``edges`` holds per threshold the feasible samples next to an
-    infeasible one and the times of those infeasible neighbours.
+    smallest r.  The dips are the 3-point minima of r whose minorant
+    reaches a threshold or ``best``, then those ``_split`` finds, with their
+    brackets, Newton starts (see ``_vertex``) and sampled r; ``need[k]``
+    marks the dips threshold k reads.  ``peaks`` are the 3-point maxima of
+    P3 feasible at the largest threshold, with their brackets and Newton
+    starts; ``edges`` holds per threshold the feasible samples next to an
+    infeasible one and the times of those infeasible neighbours, and
+    ``edge_x0`` their Newton starts (see ``_secant``).
+
+    The certificate: ``slack`` is the minorant's L h^2 / 8 and ``eps`` the
+    error of a computed r.  An interval is open at threshold k when both its
+    samples are infeasible there and its minorant is at most ``levels[k]``:
+    it may then hold a feasible time or a residual below ``best``.  The
+    open intervals no dip's bracket holds (columns of ``open``: the times of
+    their ends, then r there; open at the thresholds ``open_live`` marks)
+    are bisected by ``_split``.  ``bound[k]`` bounds from below the
+    minorants of the intervals that threshold k leaves unrefined.  ``_split``
+    adds the dips and edges it finds.
     """
 
     p: object
@@ -178,41 +240,176 @@ class _Cell:
     best: np.ndarray
     dip_lo: np.ndarray
     dip_hi: np.ndarray
+    dip_x0: np.ndarray
     dip_r: np.ndarray
+    need: np.ndarray
     peaks: np.ndarray
     peak_lo: np.ndarray
     peak_hi: np.ndarray
+    peak_x0: np.ndarray
     edges: tuple
+    edge_x0: tuple
+    slack: float
+    eps: float
+    levels: np.ndarray
+    open: np.ndarray
+    open_live: np.ndarray
+    bound: np.ndarray
 
 
 def _cell(p, t_max, thresholds):
     """Scan one point and cut its point table down to a ``_Cell``."""
     m, e, pts = _scan(p, t_max)
     times, r, p3 = pts[0], pts[1], pts[2]
+    n = times.size - 1
     d = _kernels.derivative_weights(m, e)
-    h = t_max / (times.size - 1)
+    h = t_max / n
+    # both bounds hold, and the point's own is the tighter where r is flat
+    slack = min(_step_curvature(p), _curvature_bound(d)) * h * h / 8.0
+    eps = _R_ERROR * (1.0 + float(e[0]) * t_max)
+    tau = np.array(thresholds, dtype=float)
     dip = _peaks(r, minima=True)
     dip_r = r[dip]
     # the first sample of smallest r is the first dip of smallest r
     best = pts[:, dip[np.argmin(dip_r)]].copy()
-    top = max(thresholds)
-    # |t* - t_i| <= h at a dip's minimum t*, so r(t*) >= r(t_i) - L2 h^2 / 2:
-    # a dip sampled above this cap refines above both the largest threshold
-    # and the best sample, and can be neither feasible nor the best residual
-    keep = dip_r <= max(top, best[1]) + 0.5 * _curvature_bound(d) * h * h
+    # an interval at or below levels[k] may hold a feasible time or a residual
+    # below best; a dip's bracket holds the intervals next to it, whose
+    # minorant is dip_r - slack, and the best sample's dip is always read
+    levels = np.maximum(tau + eps, best[1] - eps)
+    keep = dip_r - slack <= levels.max()
+    keep[np.argmin(dip_r)] = True
     dip, dip_r = dip[keep], dip_r[keep]
-    peak = _peaks(p3)
-    peak = peak[r[peak] <= top]
-    edges = []
-    for threshold in thresholds:
+    need = dip_r - slack <= levels[:, None]
+    need[:, np.argmin(dip_r)] = True
+    # an interval is open at threshold k when both its samples are infeasible
+    # and its minorant, the smaller sample less the slack, is at most
+    # levels[k]: a sample of it then lies in (threshold, levels[k] + slack]
+    reach = levels + slack
+    band = np.zeros(n + 1, dtype=bool)
+    edges, edge_x0 = [], []
+    for threshold, top in zip(thresholds, reach.tolist()):
+        near = r <= top
+        if best[1] > threshold:
+            # no sample is feasible, so there are no edges
+            edges.append((np.empty((4, 0)), np.empty(0)))
+            edge_x0.append(np.empty(0))
+            band |= near
+            continue
         feas = r <= threshold
         cut = np.flatnonzero(feas[:-1] != feas[1:])
         inside = np.where(feas[cut], cut, cut + 1)
-        edges.append((pts[:, inside], times[np.where(feas[cut], cut + 1, cut)]))
+        outside = np.where(feas[cut], cut + 1, cut)
+        edges.append((pts[:, inside], times[outside]))
+        edge_x0.append(_secant(times[inside], r[inside], times[outside], r[outside], threshold))
+        band |= np.greater(near, feas, out=near)
+    # but those a kept dip's bracket holds are refined with the dip (the
+    # first sample's bracket is empty)
+    opened = band[:-1] | band[1:]
+    inner = dip[dip > 0]
+    opened[inner - 1] = False
+    opened[inner[inner < n]] = False
+    cand = np.flatnonzero(opened)
+    low = np.minimum(r[cand], r[cand + 1])
+    live = (low > tau[:, None]) & (low <= reach[:, None])
+    some = live.any(axis=0)
+    cand, live = cand[some], live[:, some]
+    # an interval threshold k leaves unrefined has a minorant above its level
+    # or, with a feasible end, at least best - slack
+    bound = np.where(best[1] > tau, levels, best[1] - slack)
+    # maxima of P3 feasible at the largest threshold, if any sample is
+    peak = _peaks(p3) if best[1] <= tau.max() else dip[:0]
+    peak = peak[r[peak] <= tau.max()]
     return _Cell(
         p, tuple(np.concatenate((d[:, rows].ravel(), e)) for rows in _ROWS), best,
-        *_around(times, dip), dip_r, pts[:, peak], *_around(times, peak), tuple(edges),
+        *_bracket(times, r, dip), dip_r, need, pts[:, peak], *_bracket(times, p3, peak),
+        tuple(edges), tuple(edge_x0),
+        slack, eps, levels, pts[:2, [cand, cand + 1]].reshape(4, -1), live, bound,
     )
+
+
+def _split(cells, thresholds):
+    """Bisect the open intervals of a row's cells until each closes or shows
+    a dip, and add those dips, their edges and the bounds to the cells.
+
+    Each level samples r at the midpoints of all open intervals of the row
+    in one kernel call.  A midpoint below both ends makes its interval a dip
+    bracket, needed by the thresholds the interval was open at; a feasible
+    midpoint also brackets the edges on both sides.  Otherwise each half,
+    with a quarter of the slack, stays open at the thresholds its parent was
+    open at whose level its minorant still reaches; where it closes, its
+    minorant is above the level, which ``bound`` already allows for.  An
+    interval whose slack is below ``eps`` cannot be resolved further and
+    enters the bound as it is.  What a threshold reads depends only on the
+    intervals open at it, so a sweep cell reads what ``find_t0`` reads.
+    """
+    sizes = [c.open.shape[1] for c in cells]
+    if not any(sizes):
+        return
+    own = np.repeat(np.arange(len(cells)), sizes)
+    # one column per interval: its ends, r there and its slack
+    node = np.concatenate([c.open for c in cells], axis=1)
+    node = np.concatenate((node, np.array([c.slack for c in cells])[own][None]))
+    live = np.concatenate([c.open_live for c in cells], axis=1)
+    eps = np.array([c.eps for c in cells])
+    levels = np.array([c.levels for c in cells]).T
+    bound = np.array([c.bound for c in cells]).T
+    # the weights of a1, a3 and a2, a4 and the frequencies, per cell
+    modes = np.stack([c.modes[_EDGE] for c in cells], axis=-1)
+    found = []
+    while own.size:
+        stop = node[4] < eps[own]
+        if stop.any():
+            k, j = np.nonzero(live & stop)
+            np.minimum.at(bound, (k, own[j]), np.minimum(node[2, j], node[3, j]) - node[4, j])
+            node, own, live = node[:, ~stop], own[~stop], live[:, ~stop]
+            if not own.size:
+                break
+        mid = 0.5 * (node[0] + node[1])
+        q = modes[:, own]
+        cos, sin = _kernels.derivative_rows(q[:12].reshape(2, 3, 2, -1)[:, :2], q[12:], mid)
+        r = cos[0] * cos[0] + sin[0] * sin[0]
+        dip = r < np.minimum(node[2], node[3])
+        if dip.any():
+            x0 = _vertex(node[0, dip], mid[dip], node[1, dip], node[2, dip], r[dip], node[3, dip])
+            found.append((own[dip], np.concatenate((node[:4, dip], x0[None])),
+                          np.stack((mid, r, cos[1] * cos[1], sin[1] * sin[1]))[:, dip], live[:, dip]))
+            node, own, live, mid, r = node[:, ~dip], own[~dip], live[:, ~dip], mid[~dip], r[~dip]
+        # the halves [lo, mid] and [mid, hi]
+        m = own.size
+        node = np.concatenate((node, node), axis=1)
+        node[1, :m] = node[0, m:] = mid
+        node[3, :m] = node[2, m:] = r
+        node[4] *= 0.25
+        own = np.concatenate((own, own))
+        live = np.concatenate((live, live), axis=1) & (np.minimum(node[2], node[3]) <= levels[:, own] + node[4])
+        go = live.any(axis=0)
+        node, own, live = node[:, go], own[go], live[:, go]
+
+    for j, c in enumerate(cells):
+        c.bound = bound[:, j]
+    if not found:
+        return
+    f_own = np.concatenate([f[0] for f in found])
+    f_t, f_pts, f_need = (np.concatenate([f[i] for f in found], axis=1) for i in (1, 2, 3))
+    tau = np.array(thresholds)[:, None]
+    for j in np.unique(f_own).tolist():
+        c = cells[j]
+        idx = np.flatnonzero(f_own == j)
+        (lo, hi, r_lo, r_hi, x0), mids, need = f_t[:, idx], f_pts[:, idx], f_need[:, idx]
+        c.dip_lo, c.dip_hi = np.concatenate((c.dip_lo, lo)), np.concatenate((c.dip_hi, hi))
+        c.dip_x0 = np.concatenate((c.dip_x0, x0))
+        c.dip_r, c.need = np.concatenate((c.dip_r, mids[1])), np.concatenate((c.need, need), axis=1)
+        feas = need & (mids[1] <= tau)
+        if not feas.any():
+            continue
+        edges, edge_x0 = [], []
+        for (inside, outside), start, f, threshold in zip(c.edges, c.edge_x0, feas, thresholds):
+            t, r = mids[0, f], mids[1, f]
+            edges.append((np.concatenate((inside, mids[:, f], mids[:, f]), axis=1),
+                          np.concatenate((outside, lo[f], hi[f]))))
+            edge_x0.append(np.concatenate((start, _secant(t, r, lo[f], r_lo[f], threshold),
+                                           _secant(t, r, hi[f], r_hi[f], threshold))))
+        c.edges, c.edge_x0 = tuple(edges), tuple(edge_x0)
 
 
 def _equation(kind, q, t):
@@ -244,7 +441,7 @@ def _equation(kind, q, t):
     return f, df, pts
 
 
-def _solve(kind, lo, hi, q):
+def _solve(kind, lo, hi, q, start=None):
     """One root of equation ``kind`` per bracket [lo, hi] by bracketed
     Newton (rtsafe), one kernel call per iteration over all open brackets;
     column j of ``q`` is bracket j's modes and level (see ``_equation``).
@@ -252,13 +449,14 @@ def _solve(kind, lo, hi, q):
     A Newton step leaving the bracket, or not halving the previous step,
     bisects instead (one landing on an end is kept).  A step below the
     tolerance 1e-12 max(1, t) is pushed that far past the root and ends the
-    solve.  The result is the last point evaluated with f <= 0, so an edge
-    is feasible under the same closed form; a bracket without the sign
-    change f(lo) <= 0 < f(hi) returns its midpoint.  Every bracket's result
-    depends on that bracket alone.  Returns the point table; ``lo`` must
-    not be empty.
+    solve.  Newton starts at ``start``, by default the midpoint.  The result
+    is the last point evaluated with f <= 0, so an edge is feasible under
+    the same closed form; a bracket without the sign change
+    f(lo) <= 0 < f(hi) returns its start.  Every bracket's result depends
+    on that bracket alone.  Returns the point table; ``lo`` must not be
+    empty.
     """
-    mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi) if start is None else start
     f, df, pts = _equation(kind, q[:, None], np.stack((lo, hi, mid)))
     idx = np.flatnonzero((f[0] <= 0.0) & (f[1] > 0.0))
     out = pts[:, 2].copy()
@@ -293,9 +491,10 @@ def _solve(kind, lo, hi, q):
     return out
 
 
-def _solve_groups(kind, groups):
+def _solve_groups(kind, groups, starts=None):
     """One ``_solve`` over groups ``(cell, lo, hi, level)``, whose brackets
-    carry their cell's modes; returns one point table per group."""
+    carry their cell's modes, started at ``starts`` (one array per group)
+    or the midpoints; returns one point table per group."""
     sizes = [lo.size for _, lo, _, _ in groups]
     if not any(sizes):
         return [np.empty((4, 0))] * len(groups)
@@ -306,22 +505,23 @@ def _solve_groups(kind, groups):
     q = np.repeat(table, sizes, axis=1)
     lo = np.concatenate([lo for _, lo, _, _ in groups])
     hi = np.concatenate([hi for _, _, hi, _ in groups])
-    out = _solve(kind, lo, hi, q)
+    out = _solve(kind, lo, hi, q, None if starts is None else np.concatenate(starts))
     ends = np.cumsum(sizes).tolist()
     return [out[:, a:b] for a, b in zip([0] + ends, ends)]
 
 
-def _result(p, threshold, t_max, feasible, row):
+def _result(p, threshold, t_max, feasible, row, bound):
     t0, p1p2, p3, p4 = map(float, row)
-    return OptimizeResult(p, threshold, t_max, feasible, t0, p1p2, p3, p4)
+    return OptimizeResult(p, threshold, t_max, feasible, t0, p1p2, p3, p4, bound)
 
 
 def _row(params, thresholds, t_max):
     """Results [cell][threshold] for one row of points.
 
     The points are scanned in turn, each cut down to a ``_Cell`` before the
-    next is scanned, so one point table lives at a time.  Then each equation
-    is solved once for the whole row:
+    next is scanned, so one point table lives at a time.  ``_split`` bisects
+    the open intervals of all cells together.  Then each equation is solved
+    once for the whole row:
 
     - r' = 0 for the dips of r;
     - r = threshold for the edges between feasible and infeasible
@@ -331,30 +531,27 @@ def _row(params, thresholds, t_max):
       and the feasible end of its bracket.
     """
     cells = [_cell(p, t_max, thresholds) for p in params]
-    dips = _solve_groups(_DIP, [(c, c.dip_lo, c.dip_hi, 0.0) for c in cells])
+    _split(cells, thresholds)
+    dips = _solve_groups(_DIP, [(c, c.dip_lo, c.dip_hi, 0.0) for c in cells], [c.dip_x0 for c in cells])
     # one plan per result, cell-major
     plans = [(c, d, k, threshold) for c, d in zip(cells, dips) for k, threshold in enumerate(thresholds)]
-    edge_groups = []
+    edge_groups, edge_starts = [], []
     for c, d, k, threshold in plans:
-        narrow = (d[1] <= threshold) & (c.dip_r > threshold)
+        narrow = c.need[k] & (d[1] <= threshold) & (c.dip_r > threshold)
         inside, outside = c.edges[k]
-        edge_groups.append((
-            c,
-            np.concatenate((inside[0], d[0, narrow], d[0, narrow])),
-            np.concatenate((outside, c.dip_lo[narrow], c.dip_hi[narrow])),
-            threshold,
-        ))
-    edges = _solve_groups(_EDGE, edge_groups)
-    max_groups = []
+        lo, hi = np.concatenate((d[0, narrow], d[0, narrow])), np.concatenate((c.dip_lo[narrow], c.dip_hi[narrow]))
+        edge_groups.append((c, np.concatenate((inside[0], lo)), np.concatenate((outside, hi)), threshold))
+        edge_starts.append(np.concatenate((c.edge_x0[k], 0.5 * (lo + hi))))
+    edges = _solve_groups(_EDGE, edge_groups, edge_starts)
+    max_groups, max_starts = [], []
     for (c, edge_lo, _, threshold), edge in zip(edge_groups, edges):
         peak = c.peaks[1] <= threshold
+        lo, hi = np.minimum(edge_lo, edge[0]), np.maximum(edge_lo, edge[0])
         max_groups.append((
-            c,
-            np.concatenate((c.peak_lo[peak], np.minimum(edge_lo, edge[0]))),
-            np.concatenate((c.peak_hi[peak], np.maximum(edge_lo, edge[0]))),
-            threshold,
+            c, np.concatenate((c.peak_lo[peak], lo)), np.concatenate((c.peak_hi[peak], hi)), threshold,
         ))
-    maxima = _solve_groups(_P3MAX, max_groups)
+        max_starts.append(np.concatenate((c.peak_x0[peak], 0.5 * (lo + hi))))
+    maxima = _solve_groups(_P3MAX, max_groups, max_starts)
     results = [
         _select(*plan, t_max, edge, peak_max) for plan, edge, peak_max in zip(plans, edges, maxima)
     ]
@@ -363,19 +560,27 @@ def _row(params, thresholds, t_max):
 
 
 def _select(c, dips, k, threshold, t_max, edges, maxima):
-    """Result ``k`` of one cell, at ``threshold``, from its refined points."""
+    """Result ``k`` of one cell, at ``threshold``, from its refined points.
+
+    Its bound on r is the smallest of the minorants the threshold leaves
+    unrefined and of the dips it reads, each at its refined point or its
+    sample, less the error of a computed r: a dip stands for its bracket.
+    """
+    dips, dip_r = dips[:, c.need[k]], c.dip_r[c.need[k]]
+    low = min(c.bound[k], dips[1].min(initial=np.inf), dip_r.min(initial=np.inf))
+    bound = max(0.0, float(low) - c.eps)
     dip_feas = dips[1] <= threshold
-    if c.best[1] > threshold and not dip_feas.any():
+    if min(c.best[1], dip_r.min(initial=np.inf)) > threshold and not dip_feas.any():
         # infeasible: report the smallest residual seen
         best = c.best
         if dips.size and dips[1].min() < best[1]:
             best = dips[:, np.argmin(dips[1])]
-        return _result(c.p, threshold, t_max, False, best)
+        return _result(c.p, threshold, t_max, False, best, bound)
     # the feasible samples bracketing maxima and edges stay candidates too
     cand = np.hstack((c.peaks[:, c.peaks[1] <= threshold], c.edges[k][0], dips[:, dip_feas], edges, maxima))
     cand = cand[:, cand[1] <= threshold]
     near = cand[2] >= cand[2].max() - P3_TIE_TOL
-    return _result(c.p, threshold, t_max, True, cand[:, near][:, np.argmin(cand[0, near])])
+    return _result(c.p, threshold, t_max, True, cand[:, near][:, np.argmin(cand[0, near])], bound)
 
 
 def _check_threshold(threshold):
@@ -418,7 +623,8 @@ def sweep(
     if not (0 < g_range[0] <= g_range[1]) or not (0 < gprime_range[0] <= gprime_range[1]):
         raise ValueError("ranges must be positive and ordered")
     _check_t_max(t_max)
-    # the corner has the largest E1 and scan of the grid
+    # the step's curvature bound never decreases as g or g' grows, so the
+    # corner has the longest scan of the grid
     _scan_setup(CouplingParams.symmetric(g_range[1], gprime_range[1]), t_max)
     exps = list(threshold_exponents)
     if not exps or any(int(j) != j or j < 1 for j in exps):

@@ -13,6 +13,11 @@ It rewrites every file whose output changed, removes files of cases no
 longer listed, and prints for each rewritten file how many lines changed and
 the largest difference between numbers at the same place in the old and new
 text.  Every resulting diff must be explained in CHANGES.md.
+
+    python tests/golden/regen.py --check
+
+prints the same report for the files that would change, writes nothing, and
+exits 1 if any file would change.
 """
 
 import contextlib
@@ -93,25 +98,37 @@ def _compare(old, new):
     return len(changed), largest
 
 
-def regenerate():
+def regenerate(check=False):
+    """Rewrite the golden files, or with ``check`` only report what would
+    change; returns whether any file changed (or would)."""
+    would = "would be " if check else ""
+    changed = False
     for stale in set(HERE.glob("*.txt")) - {HERE / f"{name}.txt" for name in CASES}:
-        stale.unlink()
-        print(f"{stale.name}: removed")
+        changed = True
+        if not check:
+            stale.unlink()
+        print(f"{stale.name}: {would}removed")
     for name, argv in CASES.items():
         path = HERE / f"{name}.txt"
         new = render(argv)
         old = path.read_bytes().decode() if path.exists() else None
         if new == old:
             continue
-        path.write_bytes(new.encode())
+        changed = True
+        if not check:
+            path.write_bytes(new.encode())
         if old is None:
-            print(f"{path.name}: new")
+            print(f"{path.name}: {would}new")
             continue
         lines, largest = _compare(old, new)
         diff = "text, not only numbers" if largest is None else f"numbers by at most {largest:.3g}"
         print(f"{path.name}: {lines} changed lines, {diff}")
+    return changed
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] not in ([], ["--check"]):
+        sys.exit("usage: python tests/golden/regen.py [--check]")
     sys.path.insert(0, str(HERE.parents[1] / "src"))
-    regenerate()
+    check = sys.argv[1:] == ["--check"]
+    sys.exit(1 if regenerate(check) and check else 0)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -98,3 +100,27 @@ def test_bad_inputs():
         amplitudes(np.ones(5))
     with pytest.raises(ValueError):
         postselect(np.ones(6) / np.sqrt(6), "x")
+
+
+_NON_FINITE = (np.full(6, np.nan, complex), np.array([np.inf, 0, 0, 0, 0, 0], complex),
+               np.array([0, 0, 0, 0, 1, complex(0.0, np.nan)]))
+
+
+@pytest.mark.parametrize("psi", _NON_FINITE, ids=("nan", "inf", "imaginary-nan"))
+def test_postselect_rejects_non_finite_states(psi):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for outcome in ("g", "e"):
+            with pytest.raises(ValueError, match="non-finite"):
+                postselect(psi, outcome)
+
+
+@pytest.mark.parametrize("psi", [np.delete(v, 3) for v in _NON_FINITE], ids=("nan", "inf", "imaginary-nan"))
+def test_fidelity_rejects_non_finite_states(psi):
+    target = target_c_with_vacuum()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            fidelity(psi, target)
+        with pytest.raises(ValueError, match="non-finite"):
+            fidelity(target, psi)

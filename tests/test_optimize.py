@@ -74,7 +74,8 @@ def test_residual_consistency_with_dynamics():
 def test_scan_resolution_soundness(monkeypatch):
     triples = [(0.25, 1.89), (2.95, 1.10), (0.60, 1.37)]
     coarse = [find_t0(CouplingParams.symmetric(g, gp), 1e-6) for g, gp in triples]
-    monkeypatch.setattr(opt, "SCAN_STEP_BASE", opt.SCAN_STEP_BASE / 2.0)
+    # a quarter of the slack halves the step h = sqrt(8 SCAN_SLACK / L)
+    monkeypatch.setattr(opt, "SCAN_SLACK", opt.SCAN_SLACK / 4.0)
     fine = [find_t0(CouplingParams.symmetric(g, gp), 1e-6) for g, gp in triples]
     for a, b in zip(coarse, fine):
         assert a.feasible == b.feasible
@@ -117,7 +118,7 @@ def test_sweep_single_cell_matches_find_t0():
     # rows of 9 cells; (0.6, 1.37) is among them
     grids = sweep((0.3, 0.9), (0.87, 1.87), (3, 9), exps, t_max=200.0)
     assert [grid.threshold_exponent for grid in grids] == exps
-    fields = ("feasible", "t0", "p1p2", "p3", "p4")
+    fields = ("feasible", "t0", "p1p2", "p3", "p4", "p1p2_bound")
     for grid in grids:
         for i, g in enumerate(grid.g_values):
             for k, gp in enumerate(grid.gprime_values):
@@ -183,12 +184,15 @@ _BRUTE_POINTS = (
 def test_find_t0_beats_brute_force_on_a_finer_grid(g, gp, amplitude_rows):
     p = CouplingParams.symmetric(g, gp)
     m, e = sector_modes(p)
-    step = opt.SCAN_STEP_BASE / (4.0 * max(1.0, g, gp))
+    step = 0.0025 / max(1.0, g, gp)
     times = np.linspace(0.0, 200.0, int(np.ceil(200.0 / step)) + 1)[1:]
     p1, p2, p3, _ = amplitude_rows(m, e, times)[0] ** 2
     h, d0 = build_h_full(p), dark_state_full(p)
     for threshold in (1e-6, 1e-3, 1e-1):
         res = find_t0(p, threshold)
+        # the certificate bounds r from below, also between these samples
+        assert res.p1p2_bound <= res.p1p2
+        assert res.p1p2_bound <= np.min(p1 + p2)
         feasible = p1 + p2 <= threshold
         if feasible.any():
             assert res.feasible
@@ -264,7 +268,11 @@ def test_sweep_peak_memory_is_bounded_by_one_point_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.0 * table
+    # the row's brackets, about 2.2 MB, no longer shrink with the table; the
+    # limit is two tables of a 40,001-sample scan, which the 16 tables of the
+    # row held at once would still exceed
+    assert 16 * table > 2 * 32 * 40_001
+    assert peak <= 2 * 32 * 40_001
 
 
 def test_sweep_memory_does_not_grow_with_row_length():
@@ -326,15 +334,17 @@ def test_bracket_evaluation_is_independent_of_batch_size():
             assert np.array_equal(_kernels.derivative_rows(weights[..., j], e, lo[j]), rows[..., j])
 
 
+_PRUNED_POINTS = (*PAPER_PAIRS, *np.random.default_rng(20261020).uniform(0.05, 3.0, (20, 2)).round(6))
+
+
 @pytest.mark.parametrize("threshold", [1e-6, 1e-1])
 def test_pruned_dips_refine_above_threshold_and_best_sample(threshold):
-    points = (*PAPER_PAIRS, *np.random.default_rng(20261020).uniform(0.05, 3.0, (20, 2)).round(6))
     pruned = 0
-    for g, gp in points:
+    for g, gp in _PRUNED_POINTS:
         p = CouplingParams.symmetric(g, gp)
         cell = opt._cell(p, 200.0, [threshold])
         times, r = opt._scan(p, 200.0)[2][:2]
-        lo, hi = opt._around(times, opt._peaks(r, minima=True))
+        lo, hi, _ = opt._bracket(times, r, opt._peaks(r, minima=True))
         # every 3-point dip, refined by the same solve without pruning
         (dips,) = opt._solve_groups(opt._DIP, [(cell, lo, hi, 0.0)])
         kept = set(zip(cell.dip_lo.tolist(), cell.dip_hi.tolist()))
@@ -343,6 +353,114 @@ def test_pruned_dips_refine_above_threshold_and_best_sample(threshold):
         assert np.all(dips[1, out] > max(threshold, r.min()))
         pruned += out.sum()
     assert pruned > 0
+
+
+def test_infeasible_results_carry_a_bound_above_their_threshold():
+    infeasible = 0
+    for g, gp in _PRUNED_POINTS:
+        for threshold in (1e-6, 1e-3, 1e-1):
+            res = find_t0(CouplingParams.symmetric(g, gp), threshold)
+            assert 0.0 <= res.p1p2_bound <= res.p1p2
+            if not res.feasible:
+                infeasible += 1
+                assert res.p1p2_bound > threshold
+                # every interval that could hold a smaller residual was refined
+                assert res.p1p2_bound >= res.p1p2 - 1e-10
+    assert infeasible > 0
+
+
+def test_known_red_pair_is_proven_infeasible():
+    res = find_t0(CouplingParams.symmetric(2.95, 1.1), 1e-6, t_max=200.0)
+    assert not res.feasible
+    assert 4e-2 <= res.p1p2_bound <= res.p1p2
+
+
+@pytest.mark.parametrize("g,gp", [(0.0, 1.3), (1.0, 0.0), (0.5, 0.0), (0.0, 1.0), (0.0, 0.0)],
+                         ids=("g=0", "g'=0", "g'=0-one-value", "E1=E3", "g=g'=0"))
+def test_edge_cases_give_finite_scans_and_valid_bounds(g, gp, amplitude_rows):
+    p = CouplingParams.symmetric(g, gp)
+    m, e, n = opt._scan_setup(p, 200.0)
+    assert 1 <= n <= 200.0 * np.sqrt(opt._step_curvature(p) / (8.0 * opt.SCAN_SLACK)) + 1
+    assert np.isfinite(opt._scan(p, 200.0)[2]).all()
+    times = np.linspace(0.0, 200.0, 400_001)[1:]
+    p1, p2 = amplitude_rows(m, e, times)[0][:2] ** 2
+    for threshold in (1e-6, 1e-1):
+        res = find_t0(p, threshold)
+        assert np.isfinite([res.t0, res.p1p2, res.p3, res.p4, res.p1p2_bound]).all()
+        assert 0.0 <= res.p1p2_bound <= min(res.p1p2, np.min(p1 + p2))
+
+
+def test_flat_curvature_bound_still_scans_two_samples(monkeypatch):
+    # r is constant at g' = 0, so a zero curvature bound holds there
+    monkeypatch.setattr(opt, "_step_curvature", lambda p: 0.0)
+    p = CouplingParams.symmetric(1.0, 0.0)
+    assert opt._scan_setup(p, 200.0)[2] == 1
+    assert opt._scan(p, 200.0)[2].shape == (4, 2)
+    res = find_t0(p, 1e-6)
+    assert not res.feasible
+    assert res.p1p2 == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert 1.0 / 3.0 - 1e-10 <= res.p1p2_bound <= res.p1p2
+
+
+@pytest.mark.parametrize("g_range,gp_range,steps", [
+    ((0.05, 3.0), (0.05, 3.0), 30),
+    ((0.0001, 0.3), (1.5, 1.7), (7, 41)),
+    ((0.5, 0.5), (0.0001, 40.0), (1, 64)),
+    *(((lo[0], lo[0] + w[0]), (lo[1], lo[1] + w[1]), (5, 9))
+      for lo, w in zip(np.random.default_rng(7).uniform(0.0, 5.0, (4, 2)),
+                       np.random.default_rng(8).uniform(0.0, 5.0, (4, 2)))),
+])
+def test_grid_corner_has_the_longest_scan(g_range, gp_range, steps):
+    steps = (steps, steps) if np.ndim(steps) == 0 else steps
+    g_values = np.linspace(g_range[0], g_range[1], steps[0])
+    gp_values = np.linspace(gp_range[0], gp_range[1], steps[1])
+    corner = opt._scan_setup(CouplingParams.symmetric(g_range[1], gp_range[1]), 200.0)[2]
+    counts = [opt._scan_setup(CouplingParams.symmetric(float(g), float(gp)), 200.0)[2]
+              for g in g_values for gp in gp_values]
+    assert max(counts) == corner
+
+
+def test_bisection_finds_a_dip_the_scan_misses(monkeypatch):
+    # hide the feasible dip near t = 16.1 from the scan: bisecting the open
+    # intervals around it must find it again, with the same result
+    p = CouplingParams.symmetric(0.6, 1.37)
+    ref = find_t0(p, 1e-6)
+    times = opt._scan(p, 200.0)[2][0]
+    real = opt._peaks
+
+    def hidden(x, minima=False):
+        idx = real(x, minima)
+        return idx[np.abs(times[idx] - 16.1) > 0.1] if minima else idx
+
+    monkeypatch.setattr(opt, "_peaks", hidden)
+    cell = opt._cell(p, 200.0, [1e-6])
+    scanned = cell.dip_lo.size
+    opt._split([cell], [1e-6])
+    assert cell.dip_lo.size > scanned and cell.need[0, scanned:].all()
+    assert dataclasses.astuple(find_t0(p, 1e-6)) == dataclasses.astuple(ref)
+
+
+def test_a_feasible_midpoint_brackets_the_edges_on_both_sides(amplitude_rows):
+    p = CouplingParams.symmetric(0.6, 1.37)
+    cell = opt._cell(p, 200.0, [1e-6])
+    near = np.abs(cell.dip_lo - 16.1) < 0.1
+    (dip,) = opt._solve_groups(opt._DIP, [(cell, cell.dip_lo[near], cell.dip_hi[near], 0.0)])
+    t = dip[0, np.argmin(dip[1])]
+    # one open interval centred on the feasible minimum, both ends infeasible
+    ends = np.array([t - 0.01, t + 0.01])
+    p1, p2 = amplitude_rows(*sector_modes(p), ends)[0][:2] ** 2
+    assert np.all(p1 + p2 > 1e-6)
+    cell.open, cell.open_live = np.concatenate((ends, p1 + p2))[:, None], np.array([[True]])
+    before, dips = cell.edges[0][1].size, cell.dip_lo.size
+    opt._split([cell], [1e-6])
+    assert cell.dip_lo[dips:].tolist() == [ends[0]] and cell.dip_hi[dips:].tolist() == [ends[1]]
+    inside, outside = cell.edges[0]
+    assert outside[before:].tolist() == ends.tolist()
+    assert np.all(inside[1, before:] <= 1e-6)
+    starts = cell.edge_x0[0][before:]
+    assert ends[0] < starts[0] < inside[0, before] < starts[1] < ends[1]
+    (edges,) = opt._solve_groups(opt._EDGE, [(cell, inside[0, before:], outside[before:], 1e-6)], [starts])
+    assert np.all(edges[1] <= 1e-6) and edges[0, 0] < t < edges[0, 1]
 
 
 def test_flat_series_keep_one_bracket_per_plateau():
@@ -358,7 +476,7 @@ def test_flat_series_keep_one_bracket_per_plateau():
 
 
 def test_oversized_scans_are_rejected_before_allocation(forbid_large_grids):
-    big = CouplingParams.symmetric(1000.0, 1.0)  # 2e7 samples at t_max = 200
+    big = CouplingParams.symmetric(1000.0, 1.0)  # 4.5e6 samples at t_max = 200
     with pytest.raises(ValueError, match="samples"):
         find_t0(big, 1e-6)
     with pytest.raises(ValueError, match="samples"):
