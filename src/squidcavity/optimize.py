@@ -4,14 +4,15 @@ The entanglement condition P1(t0) = P2(t0) = 0 is operationalized as
 P1 + P2 <= threshold.  Within the feasible set the target-state
 probability P3 is maximized.  The scan's step follows a curvature bound
 L >= |r''| for r = P1 + P2, so between two samples r stays above the
-quadratic minorant min(r_i, r_{i+1}) - L h^2 / 8 (Piyavskii-Shubert).  An
-interval whose minorant clears the level it must decide is excluded by
-that bound; every other interval is refined, by the dip of r next to it
-or by bisection.  One safeguarded Newton solve per equation on the
-closed-form derivatives then refines all candidates of a sweep row at
-once.  Every result carries a lower bound on min r over (0, t_max];
-infeasible cells are first-class results carrying the best residual
-found and a bound above their threshold.
+quadratic minorant min(r_i, r_{i+1}) - L h^2 / 8 (Piyavskii-Shubert).  A
+point is scanned once and cut into one cell per threshold, each deciding
+its own level: an interval whose minorant clears it is excluded by that
+bound, and every other interval is refined, by the dip of r next to it or
+by bisection.  One safeguarded Newton solve per equation on the
+closed-form derivatives then refines all cells of a sweep row at once.
+Every result carries a lower bound on min r over (0, t_max]; infeasible
+cells are first-class results carrying the best residual found and a
+bound above their threshold.
 """
 
 import math
@@ -43,10 +44,10 @@ _DIP, _EDGE, _P3MAX = 0, 1, 2
 # a1', a2' and a1'', a2'' for a dip, a1', a2' for an edge, a3' and a3''
 # for a maximum of P3
 _ROWS = ([0, 1, 2, 4], [0, 1, 2], [0, 1, 3, 5])
-# Most sweep results (cells x threshold exponents) held in memory
+# Most sweep results (points x threshold exponents) held in memory
 MAX_CELLS = 2**16
-# Most cells of a row refined together: a cell's brackets take about 130 kB
-# at t_max = 200, so a 1 x 32768 grid cannot hold gigabytes
+# Most points of a row refined together: a point's brackets take about
+# 130 kB at t_max = 200, so a 1 x 32768 grid cannot hold gigabytes
 _ROW_CELLS = 64
 
 
@@ -211,136 +212,130 @@ def _curvature_bound(d):
 
 @dataclass
 class _Cell:
-    """What refinement and selection read of one point's scan.
+    """What refinement and selection read of one point's scan at one
+    threshold.
 
     ``modes[kind]`` holds the weights and frequencies every bracket of
     equation ``kind`` carries (see ``_equation``); ``best`` is the sample of
-    smallest r.  The dips are the 3-point minima of r whose minorant
-    reaches a threshold or ``best``, then those ``_split`` finds, with their
-    brackets, Newton starts (see ``_vertex``) and sampled r; ``need[k]``
-    marks the dips threshold k reads.  ``peaks`` are the 3-point maxima of
-    P3 feasible at the largest threshold, with their brackets and Newton
-    starts; ``edges`` holds per threshold the feasible samples next to an
-    infeasible one and the times of those infeasible neighbours, and
-    ``edge_x0`` their Newton starts (see ``_secant``).
+    smallest r.  ``level`` is the one level the threshold decides: the
+    threshold plus ``eps``, or ``best`` less ``eps`` where that is larger.
+    The dips are the 3-point minima of r whose minorant reaches ``level``,
+    the first of smallest r always among them, then those ``_split`` finds,
+    with their brackets, Newton starts (see ``_vertex``) and sampled r.
+    ``peaks`` are the feasible 3-point maxima of P3, with their brackets and
+    Newton starts; ``edges`` are the feasible samples next to an infeasible
+    one, ``edge_out`` the times of those neighbours and ``edge_x0`` their
+    Newton starts (see ``_secant``).
 
     The certificate: ``slack`` is the minorant's L h^2 / 8 and ``eps`` the
-    error of a computed r.  An interval is open at threshold k when both its
-    samples are infeasible there and its minorant is at most ``levels[k]``:
-    it may then hold a feasible time or a residual below ``best``.  The
-    open intervals no dip's bracket holds (columns of ``open``: the times of
-    their ends, then r there; open at the thresholds ``open_live`` marks)
-    are bisected by ``_split``.  ``bound[k]`` bounds from below the
-    minorants of the intervals that threshold k leaves unrefined.  ``_split``
-    adds the dips and edges it finds.
+    error of a computed r.  An interval is open when both its samples are
+    infeasible and its minorant is at most ``level``: it may then hold a
+    feasible time or a residual below ``best``.  The open intervals no dip's
+    bracket holds (columns of ``open``: the times of their ends, then r
+    there) are bisected by ``_split``.  ``bound`` bounds from below the
+    minorants of the intervals left unrefined.  ``_split`` adds the dips and
+    edges it finds.
     """
 
     p: object
+    threshold: float
     modes: tuple
     best: np.ndarray
     dip_lo: np.ndarray
     dip_hi: np.ndarray
     dip_x0: np.ndarray
     dip_r: np.ndarray
-    need: np.ndarray
     peaks: np.ndarray
     peak_lo: np.ndarray
     peak_hi: np.ndarray
     peak_x0: np.ndarray
-    edges: tuple
-    edge_x0: tuple
+    edges: np.ndarray
+    edge_out: np.ndarray
+    edge_x0: np.ndarray
     slack: float
     eps: float
-    levels: np.ndarray
+    level: float
     open: np.ndarray
-    open_live: np.ndarray
-    bound: np.ndarray
+    bound: float
 
 
-def _cell(p, t_max, thresholds):
-    """Scan one point and cut its point table down to a ``_Cell``."""
+def _cells(p, t_max, thresholds):
+    """Scan one point and cut its point table down to one ``_Cell`` per
+    threshold; the scan and what no threshold changes are shared."""
     m, e, pts = _scan(p, t_max)
     times, r, p3 = pts[0], pts[1], pts[2]
     n = times.size - 1
     d = _kernels.derivative_weights(m, e)
+    modes = tuple(np.concatenate((d[:, rows].ravel(), e)) for rows in _ROWS)
     h = t_max / n
     # both bounds hold, and the point's own is the tighter where r is flat
     slack = min(_step_curvature(p), _curvature_bound(d)) * h * h / 8.0
     eps = _R_ERROR * (1.0 + float(e[0]) * t_max)
-    tau = np.array(thresholds, dtype=float)
     dip = _peaks(r, minima=True)
     dip_r = r[dip]
     # the first sample of smallest r is the first dip of smallest r
-    best = pts[:, dip[np.argmin(dip_r)]].copy()
-    # an interval at or below levels[k] may hold a feasible time or a residual
-    # below best; a dip's bracket holds the intervals next to it, whose
-    # minorant is dip_r - slack, and the best sample's dip is always read
-    levels = np.maximum(tau + eps, best[1] - eps)
-    keep = dip_r - slack <= levels.max()
-    keep[np.argmin(dip_r)] = True
-    dip, dip_r = dip[keep], dip_r[keep]
-    need = dip_r - slack <= levels[:, None]
-    need[:, np.argmin(dip_r)] = True
-    # an interval is open at threshold k when both its samples are infeasible
-    # and its minorant, the smaller sample less the slack, is at most
-    # levels[k]: a sample of it then lies in (threshold, levels[k] + slack]
-    reach = levels + slack
-    band = np.zeros(n + 1, dtype=bool)
-    edges, edge_x0 = [], []
-    for threshold, top in zip(thresholds, reach.tolist()):
-        near = r <= top
+    first = np.argmin(dip_r)
+    best = pts[:, dip[first]].copy()
+    peak = _peaks(p3) if best[1] <= max(thresholds) else dip[:0]
+    cells = []
+    for threshold in thresholds:
+        # an interval at or below level may hold a feasible time or a residual
+        # below best; a dip's bracket holds the intervals next to it, whose
+        # minorant is dip_r - slack, and the best sample's dip is always read
+        level = max(threshold + eps, best[1] - eps)
+        keep = dip_r - slack <= level
+        keep[first] = True
+        kept = dip[keep]
+        # an interval is open when both its samples are infeasible and its
+        # minorant, the smaller sample less the slack, is at most level: a
+        # sample of it then lies in (threshold, level + slack]
+        top = level + slack
+        band = r <= top
         if best[1] > threshold:
             # no sample is feasible, so there are no edges
-            edges.append((np.empty((4, 0)), np.empty(0)))
-            edge_x0.append(np.empty(0))
-            band |= near
-            continue
-        feas = r <= threshold
-        cut = np.flatnonzero(feas[:-1] != feas[1:])
-        inside = np.where(feas[cut], cut, cut + 1)
-        outside = np.where(feas[cut], cut + 1, cut)
-        edges.append((pts[:, inside], times[outside]))
-        edge_x0.append(_secant(times[inside], r[inside], times[outside], r[outside], threshold))
-        band |= np.greater(near, feas, out=near)
-    # but those a kept dip's bracket holds are refined with the dip (the
-    # first sample's bracket is empty)
-    opened = band[:-1] | band[1:]
-    inner = dip[dip > 0]
-    opened[inner - 1] = False
-    opened[inner[inner < n]] = False
-    cand = np.flatnonzero(opened)
-    low = np.minimum(r[cand], r[cand + 1])
-    live = (low > tau[:, None]) & (low <= reach[:, None])
-    some = live.any(axis=0)
-    cand, live = cand[some], live[:, some]
-    # an interval threshold k leaves unrefined has a minorant above its level
-    # or, with a feasible end, at least best - slack
-    bound = np.where(best[1] > tau, levels, best[1] - slack)
-    # maxima of P3 feasible at the largest threshold, if any sample is
-    peak = _peaks(p3) if best[1] <= tau.max() else dip[:0]
-    peak = peak[r[peak] <= tau.max()]
-    return _Cell(
-        p, tuple(np.concatenate((d[:, rows].ravel(), e)) for rows in _ROWS), best,
-        *_bracket(times, r, dip), dip_r, need, pts[:, peak], *_bracket(times, p3, peak),
-        tuple(edges), tuple(edge_x0),
-        slack, eps, levels, pts[:2, [cand, cand + 1]].reshape(4, -1), live, bound,
-    )
+            inside, outside, x0 = dip[:0], dip[:0], np.empty(0)
+        else:
+            feas = r <= threshold
+            cut = np.flatnonzero(feas[:-1] != feas[1:])
+            inside = np.where(feas[cut], cut, cut + 1)
+            outside = np.where(feas[cut], cut + 1, cut)
+            x0 = _secant(times[inside], r[inside], times[outside], r[outside], threshold)
+            band &= ~feas
+        # but those a kept dip's bracket holds are refined with the dip (the
+        # first sample's bracket is empty)
+        opened = band[:-1] | band[1:]
+        inner = kept[kept > 0]
+        opened[inner - 1] = False
+        opened[inner[inner < n]] = False
+        cand = np.flatnonzero(opened)
+        low = np.minimum(r[cand], r[cand + 1])
+        cand = cand[(low > threshold) & (low <= top)]
+        # an interval left unrefined has a minorant above the level or, with a
+        # feasible end, at least best - slack
+        bound = level if best[1] > threshold else best[1] - slack
+        feasible_peak = peak[r[peak] <= threshold]
+        cells.append(_Cell(
+            p, threshold, modes, best, *_bracket(times, r, kept), r[kept],
+            pts[:, feasible_peak], *_bracket(times, p3, feasible_peak),
+            pts[:, inside], times[outside], x0,
+            slack, eps, level, pts[:2, [cand, cand + 1]].reshape(4, -1), bound,
+        ))
+    return cells
 
 
-def _split(cells, thresholds):
+def _split(cells):
     """Bisect the open intervals of a row's cells until each closes or shows
     a dip, and add those dips, their edges and the bounds to the cells.
 
     Each level samples r at the midpoints of all open intervals of the row
     in one kernel call.  A midpoint below both ends makes its interval a dip
-    bracket, needed by the thresholds the interval was open at; a feasible
-    midpoint also brackets the edges on both sides.  Otherwise each half,
-    with a quarter of the slack, stays open at the thresholds its parent was
-    open at whose level its minorant still reaches; where it closes, its
-    minorant is above the level, which ``bound`` already allows for.  An
-    interval whose slack is below ``eps`` cannot be resolved further and
-    enters the bound as it is.  What a threshold reads depends only on the
-    intervals open at it, so a sweep cell reads what ``find_t0`` reads.
+    bracket; a feasible midpoint also brackets the edges on both sides.
+    Otherwise each half, with a quarter of the slack, stays open while its
+    minorant still reaches its cell's level; where it closes, its minorant
+    is above the level, which ``bound`` already allows for.  An interval
+    whose slack is below ``eps`` cannot be resolved further and enters the
+    bound as it is.  Every interval is its cell's alone and evaluates to the
+    same bits in any batch, so a sweep cell reads what ``find_t0`` reads.
     """
     sizes = [c.open.shape[1] for c in cells]
     if not any(sizes):
@@ -349,67 +344,51 @@ def _split(cells, thresholds):
     # one column per interval: its ends, r there and its slack
     node = np.concatenate([c.open for c in cells], axis=1)
     node = np.concatenate((node, np.array([c.slack for c in cells])[own][None]))
-    live = np.concatenate([c.open_live for c in cells], axis=1)
-    eps = np.array([c.eps for c in cells])
-    levels = np.array([c.levels for c in cells]).T
-    bound = np.array([c.bound for c in cells]).T
-    # the weights of a1, a3 and a2, a4 and the frequencies, per cell
-    modes = np.stack([c.modes[_EDGE] for c in cells], axis=-1)
+    eps, level, bound = (np.array([getattr(c, f) for c in cells]) for f in ("eps", "level", "bound"))
+    # the edge equation's modes and level, per cell
+    q = np.array([(*c.modes[_EDGE], c.threshold) for c in cells]).T
     found = []
     while own.size:
         stop = node[4] < eps[own]
         if stop.any():
-            k, j = np.nonzero(live & stop)
-            np.minimum.at(bound, (k, own[j]), np.minimum(node[2, j], node[3, j]) - node[4, j])
-            node, own, live = node[:, ~stop], own[~stop], live[:, ~stop]
+            np.minimum.at(bound, own[stop], np.minimum(node[2, stop], node[3, stop]) - node[4, stop])
+            node, own = node[:, ~stop], own[~stop]
             if not own.size:
                 break
         mid = 0.5 * (node[0] + node[1])
-        q = modes[:, own]
-        cos, sin = _kernels.derivative_rows(q[:12].reshape(2, 3, 2, -1)[:, :2], q[12:], mid)
-        r = cos[0] * cos[0] + sin[0] * sin[0]
-        dip = r < np.minimum(node[2], node[3])
+        pts = _equation(_EDGE, q[:, own], mid)[2]
+        dip = pts[1] < np.minimum(node[2], node[3])
         if dip.any():
-            x0 = _vertex(node[0, dip], mid[dip], node[1, dip], node[2, dip], r[dip], node[3, dip])
-            found.append((own[dip], np.concatenate((node[:4, dip], x0[None])),
-                          np.stack((mid, r, cos[1] * cos[1], sin[1] * sin[1]))[:, dip], live[:, dip]))
-            node, own, live, mid, r = node[:, ~dip], own[~dip], live[:, ~dip], mid[~dip], r[~dip]
+            x0 = _vertex(node[0, dip], mid[dip], node[1, dip], node[2, dip], pts[1, dip], node[3, dip])
+            found.append((own[dip], np.concatenate((node[:4, dip], x0[None], pts[:, dip]))))
+            node, own, pts = node[:, ~dip], own[~dip], pts[:, ~dip]
         # the halves [lo, mid] and [mid, hi]
         m = own.size
         node = np.concatenate((node, node), axis=1)
-        node[1, :m] = node[0, m:] = mid
-        node[3, :m] = node[2, m:] = r
+        node[1, :m] = node[0, m:] = pts[0]
+        node[3, :m] = node[2, m:] = pts[1]
         node[4] *= 0.25
         own = np.concatenate((own, own))
-        live = np.concatenate((live, live), axis=1) & (np.minimum(node[2], node[3]) <= levels[:, own] + node[4])
-        go = live.any(axis=0)
-        node, own, live = node[:, go], own[go], live[:, go]
+        go = np.minimum(node[2], node[3]) <= level[own] + node[4]
+        node, own = node[:, go], own[go]
 
-    for j, c in enumerate(cells):
-        c.bound = bound[:, j]
+    for c, b in zip(cells, bound.tolist()):
+        c.bound = b
     if not found:
         return
     f_own = np.concatenate([f[0] for f in found])
-    f_t, f_pts, f_need = (np.concatenate([f[i] for f in found], axis=1) for i in (1, 2, 3))
-    tau = np.array(thresholds)[:, None]
+    f_val = np.concatenate([f[1] for f in found], axis=1)
     for j in np.unique(f_own).tolist():
         c = cells[j]
-        idx = np.flatnonzero(f_own == j)
-        (lo, hi, r_lo, r_hi, x0), mids, need = f_t[:, idx], f_pts[:, idx], f_need[:, idx]
+        (lo, hi, r_lo, r_hi, x0), mids = np.split(f_val[:, f_own == j], [5])
         c.dip_lo, c.dip_hi = np.concatenate((c.dip_lo, lo)), np.concatenate((c.dip_hi, hi))
-        c.dip_x0 = np.concatenate((c.dip_x0, x0))
-        c.dip_r, c.need = np.concatenate((c.dip_r, mids[1])), np.concatenate((c.need, need), axis=1)
-        feas = need & (mids[1] <= tau)
-        if not feas.any():
-            continue
-        edges, edge_x0 = [], []
-        for (inside, outside), start, f, threshold in zip(c.edges, c.edge_x0, feas, thresholds):
-            t, r = mids[0, f], mids[1, f]
-            edges.append((np.concatenate((inside, mids[:, f], mids[:, f]), axis=1),
-                          np.concatenate((outside, lo[f], hi[f]))))
-            edge_x0.append(np.concatenate((start, _secant(t, r, lo[f], r_lo[f], threshold),
-                                           _secant(t, r, hi[f], r_hi[f], threshold))))
-        c.edges, c.edge_x0 = tuple(edges), tuple(edge_x0)
+        c.dip_x0, c.dip_r = np.concatenate((c.dip_x0, x0)), np.concatenate((c.dip_r, mids[1]))
+        f = mids[1] <= c.threshold
+        t, r = mids[0, f], mids[1, f]
+        c.edges = np.concatenate((c.edges, mids[:, f], mids[:, f]), axis=1)
+        c.edge_out = np.concatenate((c.edge_out, lo[f], hi[f]))
+        c.edge_x0 = np.concatenate((c.edge_x0, _secant(t, r, lo[f], r_lo[f], c.threshold),
+                                    _secant(t, r, hi[f], r_hi[f], c.threshold)))
 
 
 def _equation(kind, q, t):
@@ -516,12 +495,12 @@ def _result(p, threshold, t_max, feasible, row, bound):
 
 
 def _row(params, thresholds, t_max):
-    """Results [cell][threshold] for one row of points.
+    """Results [point][threshold] for one row of points.
 
-    The points are scanned in turn, each cut down to a ``_Cell`` before the
-    next is scanned, so one point table lives at a time.  ``_split`` bisects
-    the open intervals of all cells together.  Then each equation is solved
-    once for the whole row:
+    The points are scanned in turn, each cut down to one ``_Cell`` per
+    threshold before the next is scanned, so one point table lives at a
+    time.  ``_split`` bisects the open intervals of all cells together.
+    Then each equation is solved once for the whole row:
 
     - r' = 0 for the dips of r;
     - r = threshold for the edges between feasible and infeasible
@@ -530,57 +509,48 @@ def _row(params, thresholds, t_max):
     - P3' = 0 next to feasible 3-point maxima of P3, and between each edge
       and the feasible end of its bracket.
     """
-    cells = [_cell(p, t_max, thresholds) for p in params]
-    _split(cells, thresholds)
+    cells = [c for p in params for c in _cells(p, t_max, thresholds)]
+    _split(cells)
     dips = _solve_groups(_DIP, [(c, c.dip_lo, c.dip_hi, 0.0) for c in cells], [c.dip_x0 for c in cells])
-    # one plan per result, cell-major
-    plans = [(c, d, k, threshold) for c, d in zip(cells, dips) for k, threshold in enumerate(thresholds)]
     edge_groups, edge_starts = [], []
-    for c, d, k, threshold in plans:
-        narrow = c.need[k] & (d[1] <= threshold) & (c.dip_r > threshold)
-        inside, outside = c.edges[k]
+    for c, d in zip(cells, dips):
+        narrow = (d[1] <= c.threshold) & (c.dip_r > c.threshold)
         lo, hi = np.concatenate((d[0, narrow], d[0, narrow])), np.concatenate((c.dip_lo[narrow], c.dip_hi[narrow]))
-        edge_groups.append((c, np.concatenate((inside[0], lo)), np.concatenate((outside, hi)), threshold))
-        edge_starts.append(np.concatenate((c.edge_x0[k], 0.5 * (lo + hi))))
+        edge_groups.append((c, np.concatenate((c.edges[0], lo)), np.concatenate((c.edge_out, hi)), c.threshold))
+        edge_starts.append(np.concatenate((c.edge_x0, 0.5 * (lo + hi))))
     edges = _solve_groups(_EDGE, edge_groups, edge_starts)
     max_groups, max_starts = [], []
-    for (c, edge_lo, _, threshold), edge in zip(edge_groups, edges):
-        peak = c.peaks[1] <= threshold
+    for (c, edge_lo, _, _), edge in zip(edge_groups, edges):
         lo, hi = np.minimum(edge_lo, edge[0]), np.maximum(edge_lo, edge[0])
-        max_groups.append((
-            c, np.concatenate((c.peak_lo[peak], lo)), np.concatenate((c.peak_hi[peak], hi)), threshold,
-        ))
-        max_starts.append(np.concatenate((c.peak_x0[peak], 0.5 * (lo + hi))))
+        max_groups.append((c, np.concatenate((c.peak_lo, lo)), np.concatenate((c.peak_hi, hi)), c.threshold))
+        max_starts.append(np.concatenate((c.peak_x0, 0.5 * (lo + hi))))
     maxima = _solve_groups(_P3MAX, max_groups, max_starts)
-    results = [
-        _select(*plan, t_max, edge, peak_max) for plan, edge, peak_max in zip(plans, edges, maxima)
-    ]
+    results = [_select(*refined, t_max) for refined in zip(cells, dips, edges, maxima)]
     n = len(thresholds)
     return [results[i:i + n] for i in range(0, len(results), n)]
 
 
-def _select(c, dips, k, threshold, t_max, edges, maxima):
-    """Result ``k`` of one cell, at ``threshold``, from its refined points.
+def _select(c, dips, edges, maxima, t_max):
+    """The result of one cell from its refined points.
 
-    Its bound on r is the smallest of the minorants the threshold leaves
-    unrefined and of the dips it reads, each at its refined point or its
-    sample, less the error of a computed r: a dip stands for its bracket.
+    Its bound on r is the smallest of the minorants left unrefined and of
+    the dips, each at its refined point or its sample, less the error of a
+    computed r: a dip stands for its bracket.
     """
-    dips, dip_r = dips[:, c.need[k]], c.dip_r[c.need[k]]
-    low = min(c.bound[k], dips[1].min(initial=np.inf), dip_r.min(initial=np.inf))
+    low = min(c.bound, dips[1].min(initial=np.inf), c.dip_r.min(initial=np.inf))
     bound = max(0.0, float(low) - c.eps)
-    dip_feas = dips[1] <= threshold
-    if min(c.best[1], dip_r.min(initial=np.inf)) > threshold and not dip_feas.any():
+    dip_feas = dips[1] <= c.threshold
+    if min(c.best[1], c.dip_r.min(initial=np.inf)) > c.threshold and not dip_feas.any():
         # infeasible: report the smallest residual seen
         best = c.best
         if dips.size and dips[1].min() < best[1]:
             best = dips[:, np.argmin(dips[1])]
-        return _result(c.p, threshold, t_max, False, best, bound)
+        return _result(c.p, c.threshold, t_max, False, best, bound)
     # the feasible samples bracketing maxima and edges stay candidates too
-    cand = np.hstack((c.peaks[:, c.peaks[1] <= threshold], c.edges[k][0], dips[:, dip_feas], edges, maxima))
-    cand = cand[:, cand[1] <= threshold]
+    cand = np.hstack((c.peaks, c.edges, dips[:, dip_feas], edges, maxima))
+    cand = cand[:, cand[1] <= c.threshold]
     near = cand[2] >= cand[2].max() - P3_TIE_TOL
-    return _result(c.p, threshold, t_max, True, cand[:, near][:, np.argmin(cand[0, near])], bound)
+    return _result(c.p, c.threshold, t_max, True, cand[:, near][:, np.argmin(cand[0, near])], bound)
 
 
 def _check_threshold(threshold):
@@ -606,11 +576,12 @@ def sweep(
     """One SweepGrid per threshold exponent over a (g, g') grid.
 
     ``steps`` is an int (same count per axis) or a pair of ints, and each
-    range a pair (low, high).  Each cell is one scan shared by all
-    thresholds, and each of its results equals find_t0 at that threshold.
-    The cells of a row, up to _ROW_CELLS at a time, are refined together;
-    ``progress(done)`` is called once per cell after its row part.  Grids
-    over MAX_CELLS cell results are rejected.
+    range a pair (low, high).  Each point is scanned once, and its scan is
+    cut into one ``_Cell`` per threshold, the same cell find_t0 makes, so
+    each result equals find_t0 at its threshold.  The points of a row, up
+    to _ROW_CELLS at a time, are refined together; ``progress(done)`` is
+    called once per point after its row part.  Grids over MAX_CELLS cell
+    results are rejected.
     """
     try:
         steps = tuple(map(operator.index, (steps, steps) if np.ndim(steps) == 0 else steps))
@@ -627,7 +598,12 @@ def sweep(
     # corner has the longest scan of the grid
     _scan_setup(CouplingParams.symmetric(g_range[1], gprime_range[1]), t_max)
     exps = list(threshold_exponents)
-    if not exps or any(int(j) != j or j < 1 for j in exps):
+    try:
+        # nan fails j >= 1, and int() of an infinite exponent overflows
+        whole = all(j >= 1 and int(j) == j for j in exps)
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not exps or not whole:
         raise ValueError("threshold exponents must be positive integers")
     if len(set(exps)) != len(exps):
         raise ValueError("threshold exponents must be distinct")

@@ -91,8 +91,9 @@ def test_validation():
         find_t0(p, 1e-3, t_max=0.0)
     with pytest.raises(ValueError):
         sweep((0.0, 1.0), (0.1, 1.0), 3, [3])
-    with pytest.raises(ValueError):
-        sweep((0.1, 1.0), (0.1, 1.0), 3, [0])
+    for exps in ([0], [np.inf], [np.nan], [6, np.inf]):
+        with pytest.raises(ValueError, match="positive integers"):
+            sweep((0.1, 1.0), (0.1, 1.0), 3, exps)
     with pytest.raises(ValueError, match="distinct"):
         sweep((0.5, 1.0), (0.5, 1.5), (2, 3), [1, 1])
     with pytest.raises(ValueError, match="threshold must lie in"):
@@ -113,10 +114,26 @@ def test_validation():
     assert grids((np.int64(2), np.int32(3))) == grids((2, 3)) == grids(np.array([2, 3]))
 
 
-def test_sweep_single_cell_matches_find_t0():
+@pytest.mark.parametrize("hide", [False, True], ids=("scan", "every-second-dip-hidden"))
+def test_sweep_single_cell_matches_find_t0(monkeypatch, hide):
     exps = [6, 3, 1]
+    if hide:
+        found = []
+        # hide every second 3-point minimum of r from the scan, so that
+        # bisection must find those dips again, at every threshold
+        peaks, split = opt._peaks, opt._split
+
+        def counted_split(cells):
+            before = sum(c.dip_lo.size for c in cells)
+            split(cells)
+            found.append(sum(c.dip_lo.size for c in cells) - before)
+
+        monkeypatch.setattr(opt, "_peaks", lambda x, minima=False: peaks(x, minima)[::2] if minima else peaks(x))
+        monkeypatch.setattr(opt, "_split", counted_split)
     # rows of 9 cells; (0.6, 1.37) is among them
     grids = sweep((0.3, 0.9), (0.87, 1.87), (3, 9), exps, t_max=200.0)
+    if hide:
+        assert sum(found) > 0
     assert [grid.threshold_exponent for grid in grids] == exps
     fields = ("feasible", "t0", "p1p2", "p3", "p4", "p1p2_bound")
     for grid in grids:
@@ -301,16 +318,14 @@ _BATCH_POINTS = (
 def test_bracket_evaluation_is_independent_of_batch_size():
     thresholds = [1e-6, 1e-1]
     params = [CouplingParams.symmetric(g, gp) for g, gp in _BATCH_POINTS]
-    cells = [opt._cell(p, 200.0, thresholds) for p in params]
+    cells = [opt._cells(p, 200.0, thresholds) for p in params]
     modes = [sector_modes(p) for p in params]
-    # every bracket the row would solve, as (cell, lo, hi, level) per equation
+    # every bracket the row would solve, as (point, lo, hi, level) per equation
+    each = [(i, c) for i, point in enumerate(cells) for c in point]
     pools = {
-        opt._DIP: [(i, c.dip_lo, c.dip_hi, 0.0) for i, c in enumerate(cells)],
-        opt._EDGE: [
-            (i, inside[0], outside, th)
-            for i, c in enumerate(cells) for (inside, outside), th in zip(c.edges, thresholds)
-        ],
-        opt._P3MAX: [(i, c.peak_lo, c.peak_hi, 0.0) for i, c in enumerate(cells)],
+        opt._DIP: [(i, c.dip_lo, c.dip_hi, 0.0) for i, c in each],
+        opt._EDGE: [(i, c.edges[0], c.edge_out, c.threshold) for i, c in each],
+        opt._P3MAX: [(i, c.peak_lo, c.peak_hi, 0.0) for i, c in each],
     }
     rng = np.random.default_rng(5)
     for kind, pool in pools.items():
@@ -322,7 +337,7 @@ def test_bracket_evaluation_is_independent_of_batch_size():
         lo, hi = (np.array([g[j][k] for g, k in zip(picks, at)]) for j in (1, 2))
         level = np.array([lv for *_, lv in picks])
         assert np.unique(owner).size >= 10
-        q = np.column_stack([(*cells[i].modes[kind], lv) for i, lv in zip(owner, level)])
+        q = np.column_stack([(*cells[i][0].modes[kind], lv) for i, lv in zip(owner, level)])
         batch = opt._solve(kind, lo, hi, q)
         weights = np.stack([_kernels.derivative_weights(*modes[i]) for i in owner], axis=-1)
         freqs = np.stack([modes[i][1] for i in owner], axis=-1)
@@ -342,7 +357,7 @@ def test_pruned_dips_refine_above_threshold_and_best_sample(threshold):
     pruned = 0
     for g, gp in _PRUNED_POINTS:
         p = CouplingParams.symmetric(g, gp)
-        cell = opt._cell(p, 200.0, [threshold])
+        (cell,) = opt._cells(p, 200.0, [threshold])
         times, r = opt._scan(p, 200.0)[2][:2]
         lo, hi, _ = opt._bracket(times, r, opt._peaks(r, minima=True))
         # every 3-point dip, refined by the same solve without pruning
@@ -433,16 +448,17 @@ def test_bisection_finds_a_dip_the_scan_misses(monkeypatch):
         return idx[np.abs(times[idx] - 16.1) > 0.1] if minima else idx
 
     monkeypatch.setattr(opt, "_peaks", hidden)
-    cell = opt._cell(p, 200.0, [1e-6])
+    (cell,) = opt._cells(p, 200.0, [1e-6])
     scanned = cell.dip_lo.size
-    opt._split([cell], [1e-6])
-    assert cell.dip_lo.size > scanned and cell.need[0, scanned:].all()
+    opt._split([cell])
+    assert cell.dip_lo.size > scanned
+    assert np.all(np.abs(cell.dip_lo[scanned:] - 16.1) < 0.2)
     assert dataclasses.astuple(find_t0(p, 1e-6)) == dataclasses.astuple(ref)
 
 
 def test_a_feasible_midpoint_brackets_the_edges_on_both_sides(amplitude_rows):
     p = CouplingParams.symmetric(0.6, 1.37)
-    cell = opt._cell(p, 200.0, [1e-6])
+    (cell,) = opt._cells(p, 200.0, [1e-6])
     near = np.abs(cell.dip_lo - 16.1) < 0.1
     (dip,) = opt._solve_groups(opt._DIP, [(cell, cell.dip_lo[near], cell.dip_hi[near], 0.0)])
     t = dip[0, np.argmin(dip[1])]
@@ -450,14 +466,14 @@ def test_a_feasible_midpoint_brackets_the_edges_on_both_sides(amplitude_rows):
     ends = np.array([t - 0.01, t + 0.01])
     p1, p2 = amplitude_rows(*sector_modes(p), ends)[0][:2] ** 2
     assert np.all(p1 + p2 > 1e-6)
-    cell.open, cell.open_live = np.concatenate((ends, p1 + p2))[:, None], np.array([[True]])
-    before, dips = cell.edges[0][1].size, cell.dip_lo.size
-    opt._split([cell], [1e-6])
+    cell.open = np.concatenate((ends, p1 + p2))[:, None]
+    before, dips = cell.edge_out.size, cell.dip_lo.size
+    opt._split([cell])
     assert cell.dip_lo[dips:].tolist() == [ends[0]] and cell.dip_hi[dips:].tolist() == [ends[1]]
-    inside, outside = cell.edges[0]
+    inside, outside = cell.edges, cell.edge_out
     assert outside[before:].tolist() == ends.tolist()
     assert np.all(inside[1, before:] <= 1e-6)
-    starts = cell.edge_x0[0][before:]
+    starts = cell.edge_x0[before:]
     assert ends[0] < starts[0] < inside[0, before] < starts[1] < ends[1]
     (edges,) = opt._solve_groups(opt._EDGE, [(cell, inside[0, before:], outside[before:], 1e-6)], [starts])
     assert np.all(edges[1] <= 1e-6) and edges[0, 0] < t < edges[0, 1]
@@ -466,13 +482,16 @@ def test_a_feasible_midpoint_brackets_the_edges_on_both_sides(amplitude_rows):
 def test_flat_series_keep_one_bracket_per_plateau():
     thresholds = [1e-6, 1e-1]
     # g' = 0: r is constant up to rounding; at g = 0.5 it has one value
-    assert opt._cell(CouplingParams.symmetric(0.5, 0.0), 200.0, thresholds).dip_lo.size == 1
+    cells = opt._cells(CouplingParams.symmetric(0.5, 0.0), 200.0, thresholds)
+    assert [c.dip_lo.size for c in cells] == [1, 1]
     # g = 0: P3 is flat at 0 from t = 0 on, where r = 1 is infeasible
-    assert opt._cell(CouplingParams.symmetric(0.0, 1.0), 200.0, thresholds).peak_lo.size == 0
-    # at g = 1 r wobbles by about 3e-16 around 1/3
+    cells = opt._cells(CouplingParams.symmetric(0.0, 1.0), 200.0, thresholds)
+    assert [c.peak_lo.size for c in cells] == [0, 0]
+    # at g = 1 r wobbles by about 3e-16 around 1/3; both thresholds together
+    # keep at most 1 % of the samples as dips
     p = CouplingParams.symmetric(1.0, 0.0)
     n = opt._scan_setup(p, 200.0)[2] + 1
-    assert opt._cell(p, 200.0, thresholds).dip_lo.size <= 0.01 * n
+    assert sum(c.dip_lo.size for c in opt._cells(p, 200.0, thresholds)) <= 0.01 * n
 
 
 def test_oversized_scans_are_rejected_before_allocation(forbid_large_grids):
