@@ -8,7 +8,10 @@ quadratic minorant min(r_i, r_{i+1}) - L h^2 / 8 (Piyavskii-Shubert).  A
 point is scanned once and cut into one cell per threshold, each deciding
 its own level: an interval whose minorant clears it is excluded by that
 bound, and every other interval is refined, by the dip of r next to it or
-by bisection.  One safeguarded Newton solve per equation on the
+by bisection.  The same bound on |P3''| gives a majorant of P3 between
+samples, so a cell with a feasible sample drops every bracket whose
+samples lie too far below its best feasible P3 for anything refined
+there to win or tie.  One safeguarded Newton solve per equation on the
 closed-form derivatives then refines all cells of a sweep row at once.
 Every result carries a lower bound on min r over (0, t_max]; infeasible
 cells are first-class results carrying the best residual found and a
@@ -24,7 +27,7 @@ import numpy as np
 from . import _kernels
 from .dynamics import DEFAULT_N_STEPS, DEFAULT_T_MAX, MAX_SAMPLES, sector_modes, trace
 from .dynamics import _check_phase, _check_t_max
-from .model import CouplingParams
+from .model import MAX_COUPLING, CouplingParams
 
 # Slack of the scan's quadratic minorant, in units of r = P1 + P2: the step
 # h = sqrt(8 SCAN_SLACK / L) keeps r >= min(r_i, r_{i+1}) - SCAN_SLACK
@@ -199,15 +202,35 @@ def _secant(t_in, r_in, t_out, r_out, level):
     return t_in + (level - r_in) * (t_out - t_in) / (r_out - r_in)
 
 
-def _curvature_bound(d):
-    """L2 >= |r''| everywhere, for r = a1^2 + a2^2, from the weights ``d``
-    of ``_kernels.derivative_weights``.
+def _curvature_bound(a):
+    """L2 >= |r''| everywhere, for r = a1^2 + a2^2, from the sums ``a`` of
+    |weights| of each row of ``_kernels.derivative_weights``.
 
     r'' = 2 (a1'^2 + a1 a1'' + a2'^2 + a2 a2''), and a row's sum of |weights|,
     sum_j |w_kj| E_j^i for its derivative i, bounds its magnitude.
     """
-    c, s = np.abs(d).sum(axis=2).tolist()
+    c, s = a
     return 2.0 * (s[2] * s[2] + c[0] * c[4] + c[2] * c[2] + s[0] * s[4])
+
+
+def _p3_floor(p3, a, curvature, h, eps):
+    """The P3 a bracket's samples must reach for it to hold a candidate that
+    can still win, where ``p3`` is the largest P3 of a feasible sample.
+
+    P3'' = 2 (a3'^2 + a3 a3'') is at most L3 = 2 (A1_3^2 + A0_3 A2_3), from
+    the sums ``a`` as in ``_curvature_bound``, so between two samples P3 stays
+    below the larger one plus slack3 = min(``curvature``, L3) h^2 / 8.  A
+    feasible sample of P3 ``p3`` is itself a candidate, so the winner has at
+    least ``p3``.  A point refined in a bracket whose samples all lie below
+    the floor has P3 below ``p3 - P3_TIE_TOL``: outside the winner's tie
+    band, it can neither win nor tie.  The margin 3 eps covers the error of
+    the sampled P3 and of the refined one (a computed P3, the square of one
+    of the same unit-norm series, is within eps as a computed r is) and the
+    rounding of this difference.
+    """
+    c, s = a
+    slack3 = min(curvature, 2.0 * (s[3] * s[3] + c[1] * c[5])) * h * h / 8.0
+    return p3 - P3_TIE_TOL - slack3 - 3.0 * eps
 
 
 @dataclass
@@ -234,7 +257,9 @@ class _Cell:
     bracket holds (columns of ``open``: the times of their ends, then r
     there) are bisected by ``_split``.  ``bound`` bounds from below the
     minorants of the intervals left unrefined.  ``_split`` adds the dips and
-    edges it finds.
+    edges it finds.  Where a sample is feasible, the dips (but the first of
+    smallest r), peaks, edges and open intervals are only those whose
+    samples reach the P3 floor (see ``_cells``).
     """
 
     p: object
@@ -261,15 +286,26 @@ class _Cell:
 
 def _cells(p, t_max, thresholds):
     """Scan one point and cut its point table down to one ``_Cell`` per
-    threshold; the scan and what no threshold changes are shared."""
+    threshold; the scan and what no threshold changes are shared.
+
+    A threshold with a feasible sample gets a P3 floor (see ``_p3_floor``),
+    and every bracket, edge pair and open interval whose samples all lie
+    below it is dropped, after the intervals next to a kept dip have been
+    closed.  Such a bracket holds no candidate inside the winner's tie band,
+    and its minorant of r, like every minorant, is at least best - slack,
+    the cell's ``bound``, so the result and its bound are those of the full
+    cell.
+    """
     m, e, pts = _scan(p, t_max)
     times, r, p3 = pts[0], pts[1], pts[2]
     n = times.size - 1
     d = _kernels.derivative_weights(m, e)
     modes = tuple(np.concatenate((d[:, rows].ravel(), e)) for rows in _ROWS)
     h = t_max / n
+    a = np.abs(d).sum(axis=2).tolist()
+    curvature = _step_curvature(p)
     # both bounds hold, and the point's own is the tighter where r is flat
-    slack = min(_step_curvature(p), _curvature_bound(d)) * h * h / 8.0
+    slack = min(curvature, _curvature_bound(a)) * h * h / 8.0
     eps = _R_ERROR * (1.0 + float(e[0]) * t_max)
     dip = _peaks(r, minima=True)
     dip_r = r[dip]
@@ -291,15 +327,12 @@ def _cells(p, t_max, thresholds):
         # sample of it then lies in (threshold, level + slack]
         top = level + slack
         band = r <= top
-        if best[1] > threshold:
-            # no sample is feasible, so there are no edges
-            inside, outside, x0 = dip[:0], dip[:0], np.empty(0)
-        else:
+        feasible = best[1] <= threshold
+        if feasible:
             feas = r <= threshold
             cut = np.flatnonzero(feas[:-1] != feas[1:])
             inside = np.where(feas[cut], cut, cut + 1)
             outside = np.where(feas[cut], cut + 1, cut)
-            x0 = _secant(times[inside], r[inside], times[outside], r[outside], threshold)
             band &= ~feas
         # but those a kept dip's bracket holds are refined with the dip (the
         # first sample's bracket is empty)
@@ -310,10 +343,27 @@ def _cells(p, t_max, thresholds):
         cand = np.flatnonzero(opened)
         low = np.minimum(r[cand], r[cand + 1])
         cand = cand[(low > threshold) & (low <= top)]
-        # an interval left unrefined has a minorant above the level or, with a
-        # feasible end, at least best - slack
-        bound = level if best[1] > threshold else best[1] - slack
         feasible_peak = peak[r[peak] <= threshold]
+        if feasible:
+            # the feasible sample of largest P3 is a feasible peak or an edge;
+            # a bracket whose samples all lie below the floor is dropped
+            best_p3 = max(p3[feasible_peak].max(initial=0.0), p3[inside].max(initial=0.0))
+            floor = _p3_floor(best_p3, a, curvature, h, eps)
+            feasible_peak = feasible_peak[p3[feasible_peak] >= floor]
+            pair = np.maximum(p3[inside], p3[outside]) >= floor
+            inside, outside = inside[pair], outside[pair]
+            x0 = _secant(times[inside], r[inside], times[outside], r[outside], threshold)
+            reach = np.maximum(np.maximum(p3[np.maximum(kept - 1, 0)], p3[kept]), p3[np.minimum(kept + 1, n)])
+            kept = kept[(reach >= floor) | (kept == dip[first])]
+            cand = cand[np.maximum(p3[cand], p3[cand + 1]) >= floor]
+            # every minorant is at least best - slack, best the smallest sample,
+            # also that of an interval left unrefined or dropped
+            bound = best[1] - slack
+        else:
+            # no sample is feasible, so there are no edges and no P3 floor, and
+            # an interval left unrefined has a minorant above the level
+            inside, outside, x0 = dip[:0], dip[:0], np.empty(0)
+            bound = level
         cells.append(_Cell(
             p, threshold, modes, best, *_bracket(times, r, kept), r[kept],
             pts[:, feasible_peak], *_bracket(times, p3, feasible_peak),
@@ -593,6 +643,8 @@ def sweep(
         raise ValueError("ranges must be pairs (low, high)")
     if not (0 < g_range[0] <= g_range[1]) or not (0 < gprime_range[0] <= gprime_range[1]):
         raise ValueError("ranges must be positive and ordered")
+    if not max(g_range[1], gprime_range[1]) <= MAX_COUPLING:
+        raise ValueError(f"ranges must be finite and at most {MAX_COUPLING:g}")
     _check_t_max(t_max)
     # the step's curvature bound never decreases as g or g' grows, so the
     # corner has the longest scan of the grid

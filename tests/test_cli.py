@@ -207,6 +207,13 @@ def test_bad_times_are_errors(capsys, forbid_large_grids, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("grid", ["0.5:inf:2,0.5:1:2", "0.5:1:2,0.5:1e76:2", "0.5:1:2,inf:inf:2"])
+def test_sweep_names_its_ranges_when_they_are_too_large(capsys, grid):
+    code, out, err = run(capsys, "sweep", "--grid", grid)
+    assert (code, out) == (1, "")
+    assert err == "error: ranges must be finite and at most 1e+75\n"
+
+
 GENERAL = ("--g1", "0.5", "--g2", "0.5", "--omega1", "1", "--omega2", "1", "--gprime", "1")
 
 

@@ -104,6 +104,10 @@ def test_validation():
     for g_range, gprime_range in (((0.5, 1.0), (0.5, 1.0, 2.0)), ((0.5,), (0.5, 1.0)), (0.5, (0.5, 1.0))):
         with pytest.raises(ValueError, match="pairs"):
             sweep(g_range, gprime_range, 2, [1])
+    # the ranges are checked as ranges, not as the couplings of one point
+    for g_range, gprime_range in (((0.5, np.inf), (0.5, 1.0)), ((0.5, 1.0), (0.5, 1e76)), ((1e76, np.inf), (0.5, 1.0))):
+        with pytest.raises(ValueError, match="ranges must be finite and at most 1e\\+75"):
+            sweep(g_range, gprime_range, 2, [1])
 
     def grids(steps):
         return [(g.g_values.tolist(), g.gprime_values.tolist(), g.cells)
@@ -315,18 +319,30 @@ _BATCH_POINTS = (
 )
 
 
+def _edge_pairs(r, threshold):
+    """The feasible and the infeasible sample of each pair of neighbours
+    on either side of ``threshold``."""
+    feas = r <= threshold
+    cut = np.flatnonzero(feas[:-1] != feas[1:])
+    return cut + ~feas[cut], cut + feas[cut]
+
+
 def test_bracket_evaluation_is_independent_of_batch_size():
     thresholds = [1e-6, 1e-1]
     params = [CouplingParams.symmetric(g, gp) for g, gp in _BATCH_POINTS]
     cells = [opt._cells(p, 200.0, thresholds) for p in params]
     modes = [sector_modes(p) for p in params]
-    # every bracket the row would solve, as (point, lo, hi, level) per equation
-    each = [(i, c) for i, point in enumerate(cells) for c in point]
-    pools = {
-        opt._DIP: [(i, c.dip_lo, c.dip_hi, 0.0) for i, c in each],
-        opt._EDGE: [(i, c.edges[0], c.edge_out, c.threshold) for i, c in each],
-        opt._P3MAX: [(i, c.peak_lo, c.peak_hi, 0.0) for i, c in each],
-    }
+    # every bracket of the scan before pruning, as (point, lo, hi, level) per
+    # equation: its 3-point dips of r and maxima of P3, and its pairs of
+    # feasible and infeasible neighbours at each threshold
+    pools = {opt._DIP: [], opt._EDGE: [], opt._P3MAX: []}
+    for i, p in enumerate(params):
+        times, r, p3 = opt._scan(p, 200.0)[2][:3]
+        pools[opt._DIP].append((i, *opt._bracket(times, r, opt._peaks(r, minima=True))[:2], 0.0))
+        pools[opt._P3MAX].append((i, *opt._bracket(times, p3, opt._peaks(p3))[:2], 0.0))
+        for threshold in thresholds:
+            inside, outside = _edge_pairs(r, threshold)
+            pools[opt._EDGE].append((i, times[inside], times[outside], threshold))
     rng = np.random.default_rng(5)
     for kind, pool in pools.items():
         # 1,000 brackets, each from a group drawn uniformly
@@ -352,22 +368,99 @@ def test_bracket_evaluation_is_independent_of_batch_size():
 _PRUNED_POINTS = (*PAPER_PAIRS, *np.random.default_rng(20261020).uniform(0.05, 3.0, (20, 2)).round(6))
 
 
+def _left_out(lo, hi, kept_lo, kept_hi):
+    """Which brackets [lo, hi] a cell does not hold."""
+    kept = set(zip(kept_lo.tolist(), kept_hi.tolist()))
+    return np.array([pair not in kept for pair in zip(lo.tolist(), hi.tolist())], dtype=bool)
+
+
 @pytest.mark.parametrize("threshold", [1e-6, 1e-1])
 def test_pruned_dips_refine_above_threshold_and_best_sample(threshold):
-    pruned = 0
+    pruned = {"curvature": 0, "P3 dips": 0, "P3 peaks": 0, "edges": 0}
     for g, gp in _PRUNED_POINTS:
         p = CouplingParams.symmetric(g, gp)
         (cell,) = opt._cells(p, 200.0, [threshold])
-        times, r = opt._scan(p, 200.0)[2][:2]
-        lo, hi, _ = opt._bracket(times, r, opt._peaks(r, minima=True))
+        res = find_t0(p, threshold)
+        # a candidate left out by the P3 floor lies below the winner's tie band
+        below = res.p3 - opt.P3_TIE_TOL
+        times, r, p3 = opt._scan(p, 200.0)[2][:3]
+        idx = opt._peaks(r, minima=True)
+        lo, hi, _ = opt._bracket(times, r, idx)
         # every 3-point dip, refined by the same solve without pruning
         (dips,) = opt._solve_groups(opt._DIP, [(cell, lo, hi, 0.0)])
-        kept = set(zip(cell.dip_lo.tolist(), cell.dip_hi.tolist()))
-        out = np.array([pair not in kept for pair in zip(lo.tolist(), hi.tolist())])
+        out = _left_out(lo, hi, cell.dip_lo, cell.dip_hi)
         assert out.sum() == lo.size - cell.dip_lo.size
-        assert np.all(dips[1, out] > max(threshold, r.min()))
-        pruned += out.sum()
-    assert pruned > 0
+        # each dip left out is left out by exactly one rule: the curvature
+        # rule, which never drops the first dip of smallest r, or the P3 floor
+        by_curvature = r[idx] - cell.slack > cell.level
+        by_curvature[np.argmin(r[idx])] = False
+        assert not np.any(by_curvature & ~out)
+        by_p3 = out & ~by_curvature
+        assert np.all(dips[1, by_curvature] > max(threshold, r.min()))
+        assert np.all(dips[2, by_p3] < below)
+        pruned["curvature"] += by_curvature.sum()
+        pruned["P3 dips"] += by_p3.sum()
+        if not res.feasible:
+            assert not by_p3.any()
+            continue
+        # every feasible 3-point maximum of P3 and edge pair, and the points
+        # the row would refine in them
+        peak = opt._peaks(p3)
+        peak = peak[r[peak] <= threshold]
+        lo, hi, x0 = opt._bracket(times, p3, peak)
+        (maxima,) = opt._solve_groups(opt._P3MAX, [(cell, lo, hi, threshold)], [x0])
+        out = _left_out(lo, hi, cell.peak_lo, cell.peak_hi)
+        assert out.sum() == lo.size - cell.peak_lo.size
+        assert np.all(p3[peak[out]] < below) and np.all(maxima[2, out] < below)
+        pruned["P3 peaks"] += out.sum()
+        inside, outside = _edge_pairs(r, threshold)
+        x0 = opt._secant(times[inside], r[inside], times[outside], r[outside], threshold)
+        (edges,) = opt._solve_groups(opt._EDGE, [(cell, times[inside], times[outside], threshold)], [x0])
+        (maxima,) = opt._solve_groups(opt._P3MAX, [(cell, np.minimum(times[inside], edges[0]),
+                                                    np.maximum(times[inside], edges[0]), threshold)])
+        out = _left_out(times[inside], times[outside], cell.edges[0], cell.edge_out)
+        assert out.sum() == inside.size - cell.edge_out.size
+        assert np.all(p3[inside[out]] < below) and np.all(edges[2, out] < below) and np.all(maxima[2, out] < below)
+        pruned["edges"] += out.sum()
+    assert pruned["curvature"] > 0
+    if threshold == 1e-1:
+        assert min(pruned.values()) > 0
+
+
+# P3 stays below about 2e-9 here, so at 1e-1 the tie band P3_TIE_TOL holds
+# candidates far apart in t and decides t0
+_TIED_POINT = ((1e-4, 0.21),)
+
+
+def test_p3_pruning_changes_no_result(monkeypatch):
+    fields = ("feasible", "t0", "p1p2", "p3", "p4", "p1p2_bound")
+    solve_groups = opt._solve_groups
+    brackets = [0]
+
+    def counted(kind, groups, starts=None):
+        brackets[0] += sum(lo.size for _, lo, _, _ in groups)
+        return solve_groups(kind, groups, starts)
+
+    def run():
+        rows = [[getattr(c, f) for f in fields]
+                for grid in sweep((0.3, 0.9), (0.87, 1.87), (3, 9), [6, 3, 1], t_max=200.0)
+                for row in grid.cells for c in row]
+        rows += [[getattr(find_t0(CouplingParams.symmetric(g, gp), threshold), f) for f in fields]
+                 for g, gp in PAPER_PAIRS + _TIED_POINT for threshold in (1e-6, 1e-1)]
+        brackets[0] = 0
+        sweep((0.05, 3.0), (0.05, 3.0), 10, [6, 1], t_max=200.0)
+        return rows, brackets[0]
+
+    monkeypatch.setattr(opt, "_solve_groups", counted)
+    pruned, few = run()
+    # a floor of -inf keeps every bracket
+    monkeypatch.setattr(opt, "_p3_floor", lambda *args: -np.inf)
+    every, many = run()
+    assert len(pruned) == 3 * 9 * 3 + 8
+    # bit for bit: == on floats would also pass 0.0 == -0.0
+    assert [np.array(row, dtype=float).tobytes() for row in pruned] == \
+        [np.array(row, dtype=float).tobytes() for row in every]
+    assert 0 < 5 * few <= many
 
 
 def test_infeasible_results_carry_a_bound_above_their_threshold():
