@@ -15,6 +15,7 @@ so E1 >= E3 (E1 E3 = g' Omega, E1^2 + E3^2 = eta) are the only frequencies;
 ``sector_modes`` gives them with (2, 2, 2) cosine and sine weights.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,6 +135,10 @@ def antisymmetric_leakage(psi):
 def trace(p, t_max=DEFAULT_T_MAX, n_steps=DEFAULT_N_STEPS):
     """Evolution trace on a uniform grid over [0, t_max] with n_steps points."""
     _check_t_max(t_max)
+    try:
+        n_steps = operator.index(n_steps)
+    except TypeError:
+        raise ValueError(f"n_steps must be an int, got {n_steps!r}") from None
     if not (2 <= n_steps <= MAX_SAMPLES):
         raise ValueError(f"n_steps must lie in [2, {MAX_SAMPLES}]")
     m, e = sector_modes(p)

@@ -11,8 +11,11 @@ bound, and every other interval is refined, by the dip of r next to it or
 by bisection.  The same bound on |P3''| gives a majorant of P3 between
 samples, so a cell with a feasible sample drops every bracket whose
 samples lie too far below its best feasible P3 for anything refined
-there to win or tie.  One safeguarded Newton solve per equation on the
-closed-form derivatives then refines all cells of a sweep row at once.
+there to win or tie.  Only the passes that need a point's table run per
+point; the cells of a sweep row are then arrays in which every bracket
+carries the index of its cell, and one safeguarded Newton solve per
+equation on the closed-form derivatives refines them all at once, before
+each cell's result is selected by reductions over the row.
 Every result carries a lower bound on min r over (0, t_max]; infeasible
 cells are first-class results carrying the best residual found and a
 bound above their threshold.
@@ -49,8 +52,9 @@ _DIP, _EDGE, _P3MAX = 0, 1, 2
 _ROWS = ([0, 1, 2, 4], [0, 1, 2], [0, 1, 3, 5])
 # Most sweep results (points x threshold exponents) held in memory
 MAX_CELLS = 2**16
-# Most points of a row refined together: a point's brackets take about
-# 130 kB at t_max = 200, so a 1 x 32768 grid cannot hold gigabytes
+# Most points of a row refined together: a point's cut brackets take about
+# 5-8 kB at t_max = 200 (tracemalloc, 1 x n sweeps over g = 0.6, g' in
+# [0.5, 2], n = 8..64), so a 1 x 32768 grid cannot hold hundreds of MB
 _ROW_CELLS = 64
 
 
@@ -149,11 +153,12 @@ def _scan(p, t_max):
     t, r = P1 + P2, P3, P4.
     """
     m, e, n = _scan_setup(p, t_max)
-    times = np.linspace(0.0, t_max, n + 1)
-    # rows P1..P4 become t, r, P3, P4 in place; the times then live in row 0 only
+    # rows P1..P4 become t, r, P3, P4 in place; the times are those of
+    # np.linspace(0, t_max, n + 1), computed as it computes them
     pts = _kernels.grid_probs(m, e, t_max, n + 1)
     pts[1] += pts[0]
-    pts[0] = times
+    np.multiply(np.arange(n + 1.0), t_max / n, out=pts[0])
+    pts[0, n] = t_max
     pts[0, 0] = min(_T_FLOOR, pts[0, 1])
     return m, e, pts
 
@@ -168,22 +173,27 @@ def _peaks(x, minima=False):
     ties(x[:-1], x[1:], out=ok[:-1])
     ok[-1] = True
     ok[1:] &= beats(x[1:], x[:-1])
-    return np.flatnonzero(ok)
+    return ok.nonzero()[0]
 
 
-def _bracket(times, x, idx):
-    """Brackets [t_{i-1}, t_{i+1}] around samples idx of x, clipped to the
-    grid, and the Newton starts in them (see ``_vertex``).
+def _around(idx, n):
+    """Indices of samples idx - 1, idx and idx + 1, clipped to [0, n]."""
+    return np.minimum(np.maximum(idx + np.arange(-1, 2)[:, None], 0), n)
+
+
+def _bracket(idx, t, x):
+    """Brackets [t_{i-1}, t_{i+1}] around samples idx, clipped to the grid,
+    and the Newton starts in them (see ``_vertex``), from the times ``t``
+    and values ``x`` at ``_around(idx, n)``.
 
     Every probability is even in t, so t = 0 is an exact critical point: the
     first sample gets the empty bracket [t_0, t_0] and stays as sampled.
     """
     if not idx.size:
-        return np.empty(0), np.empty(0), np.empty(0)
-    left = np.maximum(idx - 1, 0)
-    right = np.where(idx > 0, np.minimum(idx + 1, times.size - 1), 0)
-    lo, hi = times[left], times[right]
-    return lo, hi, _vertex(lo, times[idx], hi, x[left], x[idx], x[right])
+        return t[0], t[0], t[0]
+    first = idx == 0
+    hi, right = np.where(first, t[1], t[2]), np.where(first, x[1], x[2])
+    return t[0], hi, _vertex(t[0], t[1], hi, x[0], x[1], right)
 
 
 def _vertex(lo, t, hi, left, mid, right):
@@ -215,7 +225,8 @@ def _curvature_bound(a):
 
 def _p3_floor(p3, a, curvature, h, eps):
     """The P3 a bracket's samples must reach for it to hold a candidate that
-    can still win, where ``p3`` is the largest P3 of a feasible sample.
+    can still win, where ``p3`` is the largest P3 of a feasible sample (one
+    per threshold).
 
     P3'' = 2 (a3'^2 + a3 a3'') is at most L3 = 2 (A1_3^2 + A0_3 A2_3), from
     the sums ``a`` as in ``_curvature_bound``, so between two samples P3 stays
@@ -234,73 +245,87 @@ def _p3_floor(p3, a, curvature, h, eps):
 
 
 @dataclass
-class _Cell:
-    """What refinement and selection read of one point's scan at one
-    threshold.
+class _Cells:
+    """What refinement and selection read of the scans of a row's points,
+    as arrays over the cells: cell o = i K + j is threshold j of point i,
+    for K thresholds, and each bracket belongs to the cell in its ``*_own``
+    entry.
 
-    ``modes[kind]`` holds the weights and frequencies every bracket of
-    equation ``kind`` carries (see ``_equation``); ``best`` is the sample of
-    smallest r.  ``level`` is the one level the threshold decides: the
-    threshold plus ``eps``, or ``best`` less ``eps`` where that is larger.
+    Per cell: ``weights`` and ``freqs`` are the ``derivative_weights`` and
+    frequencies of its point, ``best`` is the point's sample of smallest r,
+    ``slack`` the minorant's L h^2 / 8, ``eps`` the error of a computed r,
+    and ``level`` the one level the threshold decides: the threshold plus
+    ``eps``, or ``best`` less ``eps`` where that is larger.  ``bound``
+    bounds from below the minorants of the intervals left unrefined.
+
     The dips are the 3-point minima of r whose minorant reaches ``level``,
     the first of smallest r always among them, then those ``_split`` finds,
     with their brackets, Newton starts (see ``_vertex``) and sampled r.
     ``peaks`` are the feasible 3-point maxima of P3, with their brackets and
     Newton starts; ``edges`` are the feasible samples next to an infeasible
     one, ``edge_out`` the times of those neighbours and ``edge_x0`` their
-    Newton starts (see ``_secant``).
-
-    The certificate: ``slack`` is the minorant's L h^2 / 8 and ``eps`` the
-    error of a computed r.  An interval is open when both its samples are
-    infeasible and its minorant is at most ``level``: it may then hold a
-    feasible time or a residual below ``best``.  The open intervals no dip's
-    bracket holds (columns of ``open``: the times of their ends, then r
-    there) are bisected by ``_split``.  ``bound`` bounds from below the
-    minorants of the intervals left unrefined.  ``_split`` adds the dips and
-    edges it finds.  Where a sample is feasible, the dips (but the first of
-    smallest r), peaks, edges and open intervals are only those whose
-    samples reach the P3 floor (see ``_cells``).
+    Newton starts (see ``_secant``).  An interval is open when both its
+    samples are infeasible and its minorant is at most ``level``: it may
+    then hold a feasible time or a residual below ``best``.  ``_split``
+    bisects the open intervals no dip's bracket holds (columns of ``open``:
+    the times of their ends, then r there) and adds the dips and edges it
+    finds.  Where a sample is feasible, all of these but the dip of the best
+    sample reach the P3 floor (see ``_cut``).
     """
 
-    p: object
-    threshold: float
-    modes: tuple
+    params: list
+    threshold: np.ndarray
+    weights: np.ndarray
+    freqs: np.ndarray
     best: np.ndarray
+    slack: np.ndarray
+    eps: np.ndarray
+    level: np.ndarray
+    bound: np.ndarray
+    dip_own: np.ndarray
     dip_lo: np.ndarray
     dip_hi: np.ndarray
     dip_x0: np.ndarray
     dip_r: np.ndarray
+    peak_own: np.ndarray
     peaks: np.ndarray
     peak_lo: np.ndarray
     peak_hi: np.ndarray
     peak_x0: np.ndarray
+    edge_own: np.ndarray
     edges: np.ndarray
     edge_out: np.ndarray
     edge_x0: np.ndarray
-    slack: float
-    eps: float
-    level: float
+    open_own: np.ndarray
     open: np.ndarray
-    bound: float
 
 
-def _cells(p, t_max, thresholds):
-    """Scan one point and cut its point table down to one ``_Cell`` per
-    threshold; the scan and what no threshold changes are shared.
+def _cut(p, t_max, thr):
+    """Scan one point and gather what its cells at thresholds ``thr`` read
+    of its point table, which is then dropped: the passes over the table
+    run here, each for all thresholds at once, and ``_cells`` does the rest.
 
-    A threshold with a feasible sample gets a P3 floor (see ``_p3_floor``),
-    and every bracket, edge pair and open interval whose samples all lie
-    below it is dropped, after the intervals next to a kept dip have been
-    closed.  Such a bracket holds no candidate inside the winner's tie band,
-    and its minorant of r, like every minorant, is at least best - slack,
-    the cell's ``bound``, so the result and its bound are those of the full
-    cell.
+    A threshold with a feasible sample gets a P3 floor (see ``_p3_floor``)
+    from its largest feasible P3, and every bracket, edge pair and open
+    interval whose samples all lie below it is dropped, after the intervals
+    next to a kept dip have been closed.  Such a bracket holds no candidate
+    inside the winner's tie band, and its minorant of r, like every
+    minorant, is at least best - slack, the cell's ``bound``, so the result
+    and its bound are those of the full cell.  The 3-point maxima of P3 are
+    only looked for among the samples that reach the lowest floor.
+
+    Returns the point, its ``derivative_weights``, frequencies, slack, eps
+    and ``best``, per threshold the level and the floor, then four groups,
+    each led by the threshold index of every entry: the kept dips with t, r
+    and P3 ``_around`` them; the kept maxima of P3 with the point table
+    around them; the edge pairs with the point table at the feasible end
+    and t, r at the other; and the open intervals with t, r and P3 at both
+    ends (the level and floor of these are applied by ``_cells``).
     """
     m, e, pts = _scan(p, t_max)
     times, r, p3 = pts[0], pts[1], pts[2]
     n = times.size - 1
     d = _kernels.derivative_weights(m, e)
-    modes = tuple(np.concatenate((d[:, rows].ravel(), e)) for rows in _ROWS)
     h = t_max / n
     a = np.abs(d).sum(axis=2).tolist()
     curvature = _step_curvature(p)
@@ -310,75 +335,129 @@ def _cells(p, t_max, thresholds):
     dip = _peaks(r, minima=True)
     dip_r = r[dip]
     # the first sample of smallest r is the first dip of smallest r
-    first = np.argmin(dip_r)
+    first = dip_r.argmin()
     best = pts[:, dip[first]].copy()
-    peak = _peaks(p3) if best[1] <= max(thresholds) else dip[:0]
-    cells = []
-    for threshold in thresholds:
-        # an interval at or below level may hold a feasible time or a residual
-        # below best; a dip's bracket holds the intervals next to it, whose
-        # minorant is dip_r - slack, and the best sample's dip is always read
-        level = max(threshold + eps, best[1] - eps)
-        keep = dip_r - slack <= level
-        keep[first] = True
-        kept = dip[keep]
-        # an interval is open when both its samples are infeasible and its
-        # minorant, the smaller sample less the slack, is at most level: a
-        # sample of it then lies in (threshold, level + slack]
-        top = level + slack
-        band = r <= top
-        feasible = best[1] <= threshold
-        if feasible:
-            feas = r <= threshold
-            cut = np.flatnonzero(feas[:-1] != feas[1:])
-            inside = np.where(feas[cut], cut, cut + 1)
-            outside = np.where(feas[cut], cut + 1, cut)
-            band &= ~feas
-        # but those a kept dip's bracket holds are refined with the dip (the
-        # first sample's bracket is empty)
-        opened = band[:-1] | band[1:]
-        inner = kept[kept > 0]
-        opened[inner - 1] = False
-        opened[inner[inner < n]] = False
-        cand = np.flatnonzero(opened)
-        low = np.minimum(r[cand], r[cand + 1])
-        cand = cand[(low > threshold) & (low <= top)]
-        feasible_peak = peak[r[peak] <= threshold]
-        if feasible:
-            # the feasible sample of largest P3 is a feasible peak or an edge;
-            # a bracket whose samples all lie below the floor is dropped
-            best_p3 = max(p3[feasible_peak].max(initial=0.0), p3[inside].max(initial=0.0))
-            floor = _p3_floor(best_p3, a, curvature, h, eps)
-            feasible_peak = feasible_peak[p3[feasible_peak] >= floor]
-            pair = np.maximum(p3[inside], p3[outside]) >= floor
-            inside, outside = inside[pair], outside[pair]
-            x0 = _secant(times[inside], r[inside], times[outside], r[outside], threshold)
-            reach = np.maximum(np.maximum(p3[np.maximum(kept - 1, 0)], p3[kept]), p3[np.minimum(kept + 1, n)])
-            kept = kept[(reach >= floor) | (kept == dip[first])]
-            cand = cand[np.maximum(p3[cand], p3[cand + 1]) >= floor]
-            # every minorant is at least best - slack, best the smallest sample,
-            # also that of an interval left unrefined or dropped
-            bound = best[1] - slack
-        else:
-            # no sample is feasible, so there are no edges and no P3 floor, and
-            # an interval left unrefined has a minorant above the level
-            inside, outside, x0 = dip[:0], dip[:0], np.empty(0)
-            bound = level
-        cells.append(_Cell(
-            p, threshold, modes, best, *_bracket(times, r, kept), r[kept],
-            pts[:, feasible_peak], *_bracket(times, p3, feasible_peak),
-            pts[:, inside], times[outside], x0,
-            slack, eps, level, pts[:2, [cand, cand + 1]].reshape(4, -1), bound,
-        ))
-    return cells
+    # from here on, row j of a 2-d array belongs to threshold j.  An
+    # interval at or below level may hold a feasible time or a residual
+    # below best; a dip's bracket holds the intervals next to it, whose
+    # minorant is dip_r - slack, and the best sample's dip is always read
+    level = np.maximum(thr + eps, best[1] - eps)
+    keep = dip_r - slack <= level[:, None]
+    keep[:, first] = True
+    # an interval is open when both its samples are infeasible and its
+    # minorant, the smaller sample less the slack, is at most level: a
+    # sample of it then lies in (threshold, level + slack]
+    band = r <= (level + slack)[:, None]
+    floor = np.full(thr.size, -np.inf)
+    edge = inside = outside = peak_own = peak = dip[:0]
+    peak_pts = np.empty((4, 3, 0))
+    feasible = (best[1] <= thr).nonzero()[0]
+    if feasible.size:
+        feas = r <= thr[feasible, None]
+        band[feasible] ^= feas
+        floor[feasible] = _p3_floor(np.array([p3[f].max() for f in feas]), a, curvature, h, eps)
+        # the feasible and the infeasible sample of each pair of neighbours
+        # on either side of a threshold, where they reach its floor
+        row, cut = divmod((feas[:, :-1] != feas[:, 1:]).ravel().nonzero()[0], n)
+        lo = feas[row, cut]
+        inside, outside, edge = cut + ~lo, cut + lo, feasible[row]
+        reach = np.maximum(p3[inside], p3[outside]) >= floor[edge]
+        inside, outside, edge = inside[reach], outside[reach], edge[reach]
+        # the 3-point maxima of P3 among the samples feasible at the loosest
+        # threshold that reach the lowest floor, then those feasible at each
+        # threshold that reach its floor
+        peak = ((p3 >= floor[feasible].min()) & feas[thr[feasible].argmax()]).nonzero()[0]
+        peak_pts = pts[:, _around(peak, n)]
+        x = peak_pts[2]
+        is_max = (x[1] >= x[2]) & ((x[1] > x[0]) | (peak == 0))
+        peak, peak_pts = peak[is_max], peak_pts[:, :, is_max]
+        peak_own, at = ((peak_pts[1, 1] <= thr[:, None]) & (peak_pts[2, 1] >= floor[:, None])).nonzero()
+        peak, peak_pts = peak[at], peak_pts[:, :, at]
+    # column n pads the intervals: it stands for those before the first and
+    # after the last sample, which a dip there closes
+    opened = np.zeros((thr.size, n + 1), dtype=bool)
+    np.bitwise_or(band[:, :-1], band[:, 1:], out=opened[:, :n])
+    # but those a kept dip's bracket holds are refined with the dip (the
+    # first sample's bracket is empty)
+    row, at = keep.nonzero()
+    at = dip[at]
+    opened[row, at - 1] = False
+    opened[row, np.where(at > 0, at, n)] = False
+    opened = divmod(opened.ravel().nonzero()[0], n + 1)
+    dip_pts = pts[:3, _around(dip, n)]
+    if feasible.size:
+        # a bracket whose samples all lie below the floor is dropped, but
+        # never the dip of the best sample
+        keep &= dip_pts[2].max(axis=0) >= floor[:, None]
+        keep[:, first] = True
+    row, at = keep.nonzero()
+    return (
+        p, d, e, slack, eps, best, level, floor,
+        (row, dip[at], dip_pts[:, :, at]), (peak_own, peak, peak_pts),
+        (edge, pts[:, inside], pts[:2, outside]), (opened[0], pts[:3, opened[1] + np.arange(2)[:, None]]),
+    )
 
 
-def _split(cells):
-    """Bisect the open intervals of a row's cells until each closes or shows
-    a dip, and add those dips, their edges and the bounds to the cells.
+def _cat(pieces):
+    """The pieces of a row's points joined along their last axis."""
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=-1)
 
-    Each level samples r at the midpoints of all open intervals of the row
-    in one kernel call.  A midpoint below both ends makes its interval a dip
+
+def _cells(params, t_max, thresholds):
+    """Scan the points in turn and cut each table down (see ``_cut``)
+    before the next is scanned, then join what the points' cells read into
+    one ``_Cells`` for the row, with the brackets and Newton starts."""
+    thr = np.array(thresholds, dtype=float)
+    (params, d, e, slack, eps, best, level, floor, *groups) = zip(*(_cut(p, t_max, thr) for p in params))
+    k = thr.size
+    threshold, level, floor = _cat([thr] * len(params)), _cat(level), _cat(floor)
+    slack, eps = np.array((slack, eps)).repeat(k, axis=1)
+    best = np.array(best).T.repeat(k, axis=1)
+    start = np.arange(0, k * len(params), k)
+
+    def joined(group):
+        """The pieces of a group, one per point, joined; the threshold
+        indices that lead it become cells."""
+        own, *pieces = zip(*group)
+        cells = _cat(own) if len(own) == 1 else np.repeat(start, [x.size for x in own]) + _cat(own)
+        return (cells, *map(_cat, pieces))
+
+    ((dip_own, dip, dip_pts), (peak_own, peak, peak_pts), (edge_own, inside, outside),
+     (open_own, open_pts)) = map(joined, groups)
+    # the open intervals whose minorant reaches the level and whose samples
+    # reach the floor (a cell with no feasible sample has no floor)
+    low = open_pts[1].min(axis=0)
+    go = (low > threshold[open_own]) & (low <= level[open_own] + slack[open_own])
+    go &= open_pts[2].max(axis=0) >= floor[open_own]
+    edge_x0 = _secant(*inside[:2], *outside, threshold[edge_own]) if edge_own.size else outside[0]
+    return _Cells(
+        list(params), threshold, np.array(d).transpose(1, 2, 3, 0).repeat(k, axis=-1),
+        np.array(e).T.repeat(k, axis=-1), best, slack, eps, level,
+        # every minorant is at least best - slack, best the smallest sample,
+        # also that of an interval left unrefined or dropped; where no sample
+        # is feasible, one left unrefined has a minorant above the level
+        np.where(best[1] <= threshold, best[1] - slack, level),
+        dip_own, *_bracket(dip, dip_pts[0], dip_pts[1]), dip_pts[1, 1],
+        peak_own, peak_pts[:, 1], *_bracket(peak, peak_pts[0], peak_pts[2]),
+        edge_own, inside, outside[0], edge_x0,
+        open_own[go], open_pts[:2, :, go].reshape(4, -1),
+    )
+
+
+def _columns(kind, c):
+    """Column o: the weights of the ``_ROWS[kind]`` rows and the frequencies
+    of cell o's point, then its threshold (see ``_equation``)."""
+    w = c.weights[:, _ROWS[kind]]
+    return np.concatenate((w.reshape(-1, w.shape[-1]), c.freqs, c.threshold[None]))
+
+
+def _split(parts):
+    """Bisect the open intervals of the cells of each ``_Cells`` in
+    ``parts`` (a row has one) until each closes or shows a dip, and add
+    those dips, their edges and the bounds to the cells.
+
+    Each level samples r at the midpoints of all open intervals in one
+    kernel call.  A midpoint below both ends makes its interval a dip
     bracket; a feasible midpoint also brackets the edges on both sides.
     Otherwise each half, with a quarter of the slack, stays open while its
     minorant still reaches its cell's level; where it closes, its minorant
@@ -387,58 +466,53 @@ def _split(cells):
     bound as it is.  Every interval is its cell's alone and evaluates to the
     same bits in any batch, so a sweep cell reads what ``find_t0`` reads.
     """
-    sizes = [c.open.shape[1] for c in cells]
-    if not any(sizes):
-        return
-    own = np.repeat(np.arange(len(cells)), sizes)
-    # one column per interval: its ends, r there and its slack
-    node = np.concatenate([c.open for c in cells], axis=1)
-    node = np.concatenate((node, np.array([c.slack for c in cells])[own][None]))
-    eps, level, bound = (np.array([getattr(c, f) for c in cells]) for f in ("eps", "level", "bound"))
-    # the edge equation's modes and level, per cell
-    q = np.array([(*c.modes[_EDGE], c.threshold) for c in cells]).T
-    found = []
-    while own.size:
-        stop = node[4] < eps[own]
-        if stop.any():
-            np.minimum.at(bound, own[stop], np.minimum(node[2, stop], node[3, stop]) - node[4, stop])
-            node, own = node[:, ~stop], own[~stop]
-            if not own.size:
-                break
-        mid = 0.5 * (node[0] + node[1])
-        pts = _equation(_EDGE, q[:, own], mid)[2]
-        dip = pts[1] < np.minimum(node[2], node[3])
-        if dip.any():
-            x0 = _vertex(node[0, dip], mid[dip], node[1, dip], node[2, dip], pts[1, dip], node[3, dip])
-            found.append((own[dip], np.concatenate((node[:4, dip], x0[None], pts[:, dip]))))
-            node, own, pts = node[:, ~dip], own[~dip], pts[:, ~dip]
-        # the halves [lo, mid] and [mid, hi]
-        m = own.size
-        node = np.concatenate((node, node), axis=1)
-        node[1, :m] = node[0, m:] = pts[0]
-        node[3, :m] = node[2, m:] = pts[1]
-        node[4] *= 0.25
-        own = np.concatenate((own, own))
-        go = np.minimum(node[2], node[3]) <= level[own] + node[4]
-        node, own = node[:, go], own[go]
-
-    for c, b in zip(cells, bound.tolist()):
-        c.bound = b
-    if not found:
-        return
-    f_own = np.concatenate([f[0] for f in found])
-    f_val = np.concatenate([f[1] for f in found], axis=1)
-    for j in np.unique(f_own).tolist():
-        c = cells[j]
-        (lo, hi, r_lo, r_hi, x0), mids = np.split(f_val[:, f_own == j], [5])
-        c.dip_lo, c.dip_hi = np.concatenate((c.dip_lo, lo)), np.concatenate((c.dip_hi, hi))
+    for c in parts:
+        own = c.open_own
+        if not own.size:
+            continue
+        # one column per interval: its ends, r there and its slack
+        node = np.concatenate((c.open, c.slack[own][None]))
+        bound = c.bound.copy()
+        q = _columns(_EDGE, c)
+        found = []
+        while own.size:
+            stop = node[4] < c.eps[own]
+            if stop.any():
+                np.minimum.at(bound, own[stop], np.minimum(node[2, stop], node[3, stop]) - node[4, stop])
+                node, own = node[:, ~stop], own[~stop]
+                if not own.size:
+                    break
+            mid = 0.5 * (node[0] + node[1])
+            pts = _equation(_EDGE, q[:, own], mid)[2]
+            dip = pts[1] < np.minimum(node[2], node[3])
+            if dip.any():
+                x0 = _vertex(node[0, dip], mid[dip], node[1, dip], node[2, dip], pts[1, dip], node[3, dip])
+                found.append((own[dip], np.concatenate((node[:4, dip], x0[None], pts[:, dip]))))
+                node, own, pts = node[:, ~dip], own[~dip], pts[:, ~dip]
+            # the halves [lo, mid] and [mid, hi]
+            m = own.size
+            node = np.concatenate((node, node), axis=1)
+            node[1, :m] = node[0, m:] = pts[0]
+            node[3, :m] = node[2, m:] = pts[1]
+            node[4] *= 0.25
+            own = np.concatenate((own, own))
+            go = np.minimum(node[2], node[3]) <= c.level[own] + node[4]
+            node, own = node[:, go], own[go]
+        c.bound = bound
+        if not found:
+            continue
+        own = np.concatenate([f[0] for f in found])
+        (lo, hi, r_lo, r_hi, x0), mids = np.split(np.concatenate([f[1] for f in found], axis=1), [5])
+        c.dip_own, c.dip_lo, c.dip_hi = (np.concatenate(v) for v in ((c.dip_own, own), (c.dip_lo, lo), (c.dip_hi, hi)))
         c.dip_x0, c.dip_r = np.concatenate((c.dip_x0, x0)), np.concatenate((c.dip_r, mids[1]))
-        f = mids[1] <= c.threshold
-        t, r = mids[0, f], mids[1, f]
+        threshold = c.threshold[own]
+        f = mids[1] <= threshold
+        t, r, threshold = mids[0, f], mids[1, f], threshold[f]
+        c.edge_own = np.concatenate((c.edge_own, own[f], own[f]))
         c.edges = np.concatenate((c.edges, mids[:, f], mids[:, f]), axis=1)
         c.edge_out = np.concatenate((c.edge_out, lo[f], hi[f]))
-        c.edge_x0 = np.concatenate((c.edge_x0, _secant(t, r, lo[f], r_lo[f], c.threshold),
-                                    _secant(t, r, hi[f], r_hi[f], c.threshold)))
+        c.edge_x0 = np.concatenate((c.edge_x0, _secant(t, r, lo[f], r_lo[f], threshold),
+                                    _secant(t, r, hi[f], r_hi[f], threshold)))
 
 
 def _equation(kind, q, t):
@@ -482,11 +556,10 @@ def _solve(kind, lo, hi, q, start=None):
     is the last point evaluated with f <= 0, so an edge is feasible under
     the same closed form; a bracket without the sign change
     f(lo) <= 0 < f(hi) returns its start.  Every bracket's result depends
-    on that bracket alone.  Returns the point table; ``lo`` must not be
-    empty.
+    on that bracket alone.  Returns the point table.
     """
     mid = 0.5 * (lo + hi) if start is None else start
-    f, df, pts = _equation(kind, q[:, None], np.stack((lo, hi, mid)))
+    f, df, pts = _equation(kind, q[:, None], np.array((lo, hi, mid)))
     idx = np.flatnonzero((f[0] <= 0.0) & (f[1] > 0.0))
     out = pts[:, 2].copy()
     out[:, idx] = pts[:, 0, idx]
@@ -520,37 +593,21 @@ def _solve(kind, lo, hi, q, start=None):
     return out
 
 
-def _solve_groups(kind, groups, starts=None):
-    """One ``_solve`` over groups ``(cell, lo, hi, level)``, whose brackets
-    carry their cell's modes, started at ``starts`` (one array per group)
-    or the midpoints; returns one point table per group."""
-    sizes = [lo.size for _, lo, _, _ in groups]
-    if not any(sizes):
-        return [np.empty((4, 0))] * len(groups)
-    table = np.empty((groups[0][0].modes[kind].size + 1, len(groups)))
-    for j, (c, _, _, level) in enumerate(groups):
-        table[:-1, j] = c.modes[kind]
-        table[-1, j] = level
-    q = np.repeat(table, sizes, axis=1)
-    lo = np.concatenate([lo for _, lo, _, _ in groups])
-    hi = np.concatenate([hi for _, _, hi, _ in groups])
-    out = _solve(kind, lo, hi, q, None if starts is None else np.concatenate(starts))
-    ends = np.cumsum(sizes).tolist()
-    return [out[:, a:b] for a, b in zip([0] + ends, ends)]
-
-
 def _result(p, threshold, t_max, feasible, row, bound):
     t0, p1p2, p3, p4 = map(float, row)
     return OptimizeResult(p, threshold, t_max, feasible, t0, p1p2, p3, p4, bound)
 
 
 def _row(params, thresholds, t_max):
-    """Results [point][threshold] for one row of points.
+    """The results of one row of points, point by point and, within a
+    point, threshold by threshold.
 
-    The points are scanned in turn, each cut down to one ``_Cell`` per
-    threshold before the next is scanned, so one point table lives at a
-    time.  ``_split`` bisects the open intervals of all cells together.
-    Then each equation is solved once for the whole row:
+    ``_cells`` scans the points in turn and cuts each table down before the
+    next is scanned, so one point table lives at a time; the row's cells
+    are then arrays in which every bracket carries its cell.  ``_split``
+    bisects the open intervals of all cells together, and each equation is
+    solved once for the whole row, every bracket with the modes of its
+    point and its cell's threshold:
 
     - r' = 0 for the dips of r;
     - r = threshold for the edges between feasible and infeasible
@@ -559,48 +616,81 @@ def _row(params, thresholds, t_max):
     - P3' = 0 next to feasible 3-point maxima of P3, and between each edge
       and the feasible end of its bracket.
     """
-    cells = [c for p in params for c in _cells(p, t_max, thresholds)]
-    _split(cells)
-    dips = _solve_groups(_DIP, [(c, c.dip_lo, c.dip_hi, 0.0) for c in cells], [c.dip_x0 for c in cells])
-    edge_groups, edge_starts = [], []
-    for c, d in zip(cells, dips):
-        narrow = (d[1] <= c.threshold) & (c.dip_r > c.threshold)
-        lo, hi = np.concatenate((d[0, narrow], d[0, narrow])), np.concatenate((c.dip_lo[narrow], c.dip_hi[narrow]))
-        edge_groups.append((c, np.concatenate((c.edges[0], lo)), np.concatenate((c.edge_out, hi)), c.threshold))
-        edge_starts.append(np.concatenate((c.edge_x0, 0.5 * (lo + hi))))
-    edges = _solve_groups(_EDGE, edge_groups, edge_starts)
-    max_groups, max_starts = [], []
-    for (c, edge_lo, _, _), edge in zip(edge_groups, edges):
-        lo, hi = np.minimum(edge_lo, edge[0]), np.maximum(edge_lo, edge[0])
-        max_groups.append((c, np.concatenate((c.peak_lo, lo)), np.concatenate((c.peak_hi, hi)), c.threshold))
-        max_starts.append(np.concatenate((c.peak_x0, 0.5 * (lo + hi))))
-    maxima = _solve_groups(_P3MAX, max_groups, max_starts)
-    results = [_select(*refined, t_max) for refined in zip(cells, dips, edges, maxima)]
-    n = len(thresholds)
-    return [results[i:i + n] for i in range(0, len(results), n)]
+    c = _cells(params, t_max, thresholds)
+    _split([c])
+
+    def solve(kind, lo, hi, own, start):
+        # every bracket carries the modes of its point and its cell's threshold
+        return _solve(kind, lo, hi, _columns(kind, c)[:, own], start) if lo.size else np.empty((4, 0))
+
+    dips = solve(_DIP, c.dip_lo, c.dip_hi, c.dip_own, c.dip_x0)
+    edge_own, edge_in, edge_out, starts = c.edge_own, c.edges[0], c.edge_out, c.edge_x0
+    # a feasible dip between infeasible samples has an edge on either side
+    narrow = (dips[1] <= c.threshold[c.dip_own]) & (c.dip_r > c.threshold[c.dip_own])
+    if narrow.any():
+        t, own, lo, hi = dips[0, narrow], c.dip_own[narrow], c.dip_lo[narrow], c.dip_hi[narrow]
+        edge_own = np.concatenate((edge_own, own, own))
+        edge_in, edge_out = np.concatenate((edge_in, t, t)), np.concatenate((edge_out, lo, hi))
+        starts = np.concatenate((starts, 0.5 * (t + lo), 0.5 * (t + hi)))
+    edges = solve(_EDGE, edge_in, edge_out, edge_own, starts)
+    max_own, lo, hi, starts = c.peak_own, c.peak_lo, c.peak_hi, c.peak_x0
+    if edge_own.size:
+        # and between each edge and the feasible end of its bracket
+        a, b = np.minimum(edge_in, edges[0]), np.maximum(edge_in, edges[0])
+        max_own = np.concatenate((max_own, edge_own))
+        lo, hi, starts = np.concatenate((lo, a)), np.concatenate((hi, b)), np.concatenate((starts, 0.5 * (a + b)))
+    maxima = solve(_P3MAX, lo, hi, max_own, starts)
+    return _select(c, dips, (edge_own, edges), (max_own, maxima), thresholds, t_max)
 
 
-def _select(c, dips, edges, maxima, t_max):
-    """The result of one cell from its refined points.
+def _firsts(own, key):
+    """For each owner in ``own``, in increasing order, the index of its
+    first point of smallest ``key``."""
+    order = np.lexsort((key, own))
+    own = own[order]
+    return order[own != np.concatenate(([-1], own[:-1]))]
 
-    Its bound on r is the smallest of the minorants left unrefined and of
-    the dips, each at its refined point or its sample, less the error of a
-    computed r: a dip stands for its bracket.
+
+def _select(c, dips, edges, maxima, thresholds, t_max):
+    """The result of each cell from its refined points; ``edges`` and
+    ``maxima`` are pairs (owners, point table).
+
+    A cell's bound on r is the smallest of the minorants left unrefined and
+    of its dips, each at its refined point or its sample, less the error of
+    a computed r: a dip stands for its bracket.  A cell is infeasible when
+    neither a sample nor a refined dip is feasible, and reports the smallest
+    residual seen.  Otherwise it reports the earliest feasible point within
+    P3_TIE_TOL of its largest feasible P3, the first in the order peaks,
+    edge samples, dips, edges, maxima where times tie.  Every cell has a
+    dip, that of its best sample.
     """
-    low = min(c.bound, dips[1].min(initial=np.inf), c.dip_r.min(initial=np.inf))
-    bound = max(0.0, float(low) - c.eps)
-    dip_feas = dips[1] <= c.threshold
-    if min(c.best[1], c.dip_r.min(initial=np.inf)) > c.threshold and not dip_feas.any():
-        # infeasible: report the smallest residual seen
-        best = c.best
-        if dips.size and dips[1].min() < best[1]:
-            best = dips[:, np.argmin(dips[1])]
-        return _result(c.p, c.threshold, t_max, False, best, bound)
-    # the feasible samples bracketing maxima and edges stay candidates too
-    cand = np.hstack((c.peaks, c.edges, dips[:, dip_feas], edges, maxima))
-    cand = cand[:, cand[1] <= c.threshold]
-    near = cand[2] >= cand[2].max() - P3_TIE_TOL
-    return _result(c.p, c.threshold, t_max, True, cand[:, near][:, np.argmin(cand[0, near])], bound)
+    thr = c.threshold
+    # each cell's dip of smallest refined r and its smallest sampled dip
+    at = _firsts(c.dip_own, dips[1])
+    refined, sampled = dips[1, at], c.best[1].copy()
+    np.minimum.at(sampled, c.dip_own, c.dip_r)
+    bound = np.maximum(0.0, np.minimum(np.minimum(c.bound, refined), sampled) - c.eps)
+    feasible = (sampled <= thr) | (refined <= thr)
+    # infeasible: the smallest residual seen
+    rows = np.where(refined < c.best[1], dips[:, at], c.best)
+    if feasible.any():
+        # the feasible samples bracketing maxima and edges stay candidates too
+        dip_feas = dips[1] <= thr[c.dip_own]
+        own = np.concatenate((c.peak_own, c.edge_own, c.dip_own[dip_feas], edges[0], maxima[0]))
+        cand = np.concatenate((c.peaks, c.edges, dips[:, dip_feas], edges[1], maxima[1]), axis=1)
+        ok = cand[1] <= thr[own]
+        own, cand = own[ok], cand[:, ok]
+        top = np.full(thr.size, -np.inf)
+        np.maximum.at(top, own, cand[2])
+        near = cand[2] >= (top - P3_TIE_TOL)[own]
+        own, cand = own[near], cand[:, near]
+        at = _firsts(own, cand[0])
+        rows[:, own[at]] = cand[:, at]
+    k = len(thresholds)
+    return [
+        _result(c.params[o // k], thresholds[o % k], t_max, f, row, b)
+        for o, (f, row, b) in enumerate(zip(feasible.tolist(), rows.T.tolist(), bound.tolist()))
+    ]
 
 
 def _check_threshold(threshold):
@@ -612,7 +702,7 @@ def find_t0(p, threshold, t_max=DEFAULT_T_MAX):
     """Best measurement time under the entanglement-condition threshold."""
     _check_threshold(threshold)
     _check_t_max(t_max)
-    return _row([p], [threshold], t_max)[0][0]
+    return _row([p], [threshold], t_max)[0]
 
 
 def sweep(
@@ -627,11 +717,12 @@ def sweep(
 
     ``steps`` is an int (same count per axis) or a pair of ints, and each
     range a pair (low, high).  Each point is scanned once, and its scan is
-    cut into one ``_Cell`` per threshold, the same cell find_t0 makes, so
-    each result equals find_t0 at its threshold.  The points of a row, up
-    to _ROW_CELLS at a time, are refined together; ``progress(done)`` is
-    called once per point after its row part.  Grids over MAX_CELLS cell
-    results are rejected.
+    cut into one cell per threshold, the same cell find_t0 makes, so each
+    result equals find_t0 at its threshold.  The points of a row, up to
+    _ROW_CELLS at a time, are refined together as one set of arrays whose
+    brackets carry their cell (see ``_row``); ``progress(done)`` is called
+    once per point after its row part.  Grids over MAX_CELLS cell results
+    are rejected.
     """
     try:
         steps = tuple(map(operator.index, (steps, steps) if np.ndim(steps) == 0 else steps))
@@ -668,24 +759,25 @@ def sweep(
 
     g_values = np.linspace(g_range[0], g_range[1], steps[0])
     gprime_values = np.linspace(gprime_range[0], gprime_range[1], steps[1])
-    # one list of results per cell (one result per exponent), row-major
-    results = []
+    # one list of results per exponent, row-major
+    results = [[] for _ in exps]
     for g in g_values:
         for at in range(0, gprime_values.size, _ROW_CELLS):
             row = [CouplingParams.symmetric(float(g), float(gp)) for gp in gprime_values[at:at + _ROW_CELLS]]
-            results += _row(row, thresholds, t_max)
+            part = _row(row, thresholds, t_max)
+            for k, cells in enumerate(results):
+                cells += part[k::len(exps)]
             if progress is not None:
-                for done in range(len(results) - len(row) + 1, len(results) + 1):
+                for done in range(len(results[0]) - len(row) + 1, len(results[0]) + 1):
                     progress(done)
-    rows = [results[i:i + steps[1]] for i in range(0, len(results), steps[1])]
     return [
         SweepGrid(
             g_values=g_values,
             gprime_values=gprime_values,
             threshold_exponent=int(j),
-            cells=tuple(tuple(cell[k] for cell in row) for row in rows),
+            cells=tuple(tuple(cells[i:i + steps[1]]) for i in range(0, len(cells), steps[1])),
         )
-        for k, j in enumerate(exps)
+        for j, cells in zip(exps, results)
     ]
 
 

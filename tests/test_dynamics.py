@@ -265,6 +265,16 @@ def test_unresolvable_times_and_oversized_grids_are_rejected(forbid_large_grids)
         trace(p, t_max=1.0, n_steps=MAX_SAMPLES + 1)
 
 
+def test_trace_takes_n_steps_as_an_int():
+    p = CouplingParams.symmetric(0.6, 1.37)
+    for n_steps in (2.5, 11.0, "11", None):
+        with pytest.raises(ValueError, match="n_steps must be an int"):
+            trace(p, t_max=5.0, n_steps=n_steps)
+    # numpy integers count as ints
+    tr, ref = trace(p, t_max=5.0, n_steps=np.int64(11)), trace(p, t_max=5.0, n_steps=11)
+    assert np.array_equal(tr.times, ref.times) and np.array_equal(tr.probs, ref.probs)
+
+
 def test_leakage_helper():
     phi_minus = np.zeros(6, dtype=complex)
     phi_minus[1] = 1 / np.sqrt(2)

@@ -167,6 +167,21 @@ def test_sweep_progress_and_order():
     assert [g.threshold_exponent for g in grids] == [2, 4]
 
 
+def test_sweep_reports_each_row_part_after_refining_it(monkeypatch):
+    # progress fires once per point, and only after the whole row part that
+    # holds the point is refined: the gaps between callbacks then time rows
+    events = []
+    row = opt._row
+
+    def recorded(*args):
+        events.append("row")
+        return row(*args)
+
+    monkeypatch.setattr(opt, "_row", recorded)
+    sweep((0.5, 1.0), (0.5, 1.0), (3, 2), [2, 4], t_max=30.0, progress=events.append)
+    assert events == ["row", 1, 2, "row", 3, 4, "row", 5, 6]
+
+
 def test_fig4_bundle():
     params = [CouplingParams.symmetric(0.6, 1.37)]
     bundles = emit_fig4_traces(params, t_max=200.0, n_steps=2001, threshold=1e-6)
@@ -289,9 +304,9 @@ def test_sweep_peak_memory_is_bounded_by_one_point_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the row's brackets, about 2.2 MB, no longer shrink with the table; the
-    # limit is two tables of a 40,001-sample scan, which the 16 tables of the
-    # row held at once would still exceed
+    # the peak is about 400 kB: the 242 kB table of the row's longest scan
+    # and what the 16 cuts keep; the limit is two tables of a 40,001-sample
+    # scan, which the 16 tables of the row held at once would still exceed
     assert 16 * table > 2 * 32 * 40_001
     assert peak <= 2 * 32 * 40_001
 
@@ -327,33 +342,49 @@ def _edge_pairs(r, threshold):
     return cut + ~feas[cut], cut + feas[cut]
 
 
+def _scan_brackets(times, x, idx):
+    """The brackets around samples ``idx`` of x and the Newton starts in
+    them, as a cell holds them."""
+    around = opt._around(idx, times.size - 1)
+    return opt._bracket(idx, times[around], x[around])
+
+
+def _refine(kind, cells, lo, hi, start=None):
+    """The points equation ``kind`` refines in brackets [lo, hi] of the
+    first cell of ``cells``."""
+    if not lo.size:
+        return np.empty((4, 0))
+    return opt._solve(kind, lo, hi, opt._columns(kind, cells)[:, np.zeros(lo.size, dtype=int)], start)
+
+
 def test_bracket_evaluation_is_independent_of_batch_size():
     thresholds = [1e-6, 1e-1]
     params = [CouplingParams.symmetric(g, gp) for g, gp in _BATCH_POINTS]
-    cells = [opt._cells(p, 200.0, thresholds) for p in params]
+    cells = opt._cells(params, 200.0, thresholds)
     modes = [sector_modes(p) for p in params]
-    # every bracket of the scan before pruning, as (point, lo, hi, level) per
+    # every bracket of the scan before pruning, as (cell, lo, hi) per
     # equation: its 3-point dips of r and maxima of P3, and its pairs of
-    # feasible and infeasible neighbours at each threshold
+    # feasible and infeasible neighbours at each threshold (cell 2 i + j is
+    # threshold j of point i)
     pools = {opt._DIP: [], opt._EDGE: [], opt._P3MAX: []}
     for i, p in enumerate(params):
         times, r, p3 = opt._scan(p, 200.0)[2][:3]
-        pools[opt._DIP].append((i, *opt._bracket(times, r, opt._peaks(r, minima=True))[:2], 0.0))
-        pools[opt._P3MAX].append((i, *opt._bracket(times, p3, opt._peaks(p3))[:2], 0.0))
-        for threshold in thresholds:
+        pools[opt._DIP].append((2 * i, *_scan_brackets(times, r, opt._peaks(r, minima=True))[:2]))
+        pools[opt._P3MAX].append((2 * i, *_scan_brackets(times, p3, opt._peaks(p3))[:2]))
+        for j, threshold in enumerate(thresholds):
             inside, outside = _edge_pairs(r, threshold)
-            pools[opt._EDGE].append((i, times[inside], times[outside], threshold))
+            pools[opt._EDGE].append((2 * i + j, times[inside], times[outside]))
     rng = np.random.default_rng(5)
     for kind, pool in pools.items():
         # 1,000 brackets, each from a group drawn uniformly
         pool = [group for group in pool if group[1].size]
         picks = [pool[k] for k in rng.integers(len(pool), size=1000)]
-        at = [rng.integers(lo.size) for _, lo, _, _ in picks]
-        owner = np.array([i for i, _, _, _ in picks])
+        at = [rng.integers(lo.size) for _, lo, _ in picks]
+        cell = np.array([o for o, _, _ in picks])
+        owner = cell // 2
         lo, hi = (np.array([g[j][k] for g, k in zip(picks, at)]) for j in (1, 2))
-        level = np.array([lv for *_, lv in picks])
         assert np.unique(owner).size >= 10
-        q = np.column_stack([(*cells[i][0].modes[kind], lv) for i, lv in zip(owner, level)])
+        q = opt._columns(kind, cells)[:, cell]
         batch = opt._solve(kind, lo, hi, q)
         weights = np.stack([_kernels.derivative_weights(*modes[i]) for i in owner], axis=-1)
         freqs = np.stack([modes[i][1] for i in owner], axis=-1)
@@ -379,20 +410,20 @@ def test_pruned_dips_refine_above_threshold_and_best_sample(threshold):
     pruned = {"curvature": 0, "P3 dips": 0, "P3 peaks": 0, "edges": 0}
     for g, gp in _PRUNED_POINTS:
         p = CouplingParams.symmetric(g, gp)
-        (cell,) = opt._cells(p, 200.0, [threshold])
+        cell = opt._cells([p], 200.0, [threshold])
         res = find_t0(p, threshold)
         # a candidate left out by the P3 floor lies below the winner's tie band
         below = res.p3 - opt.P3_TIE_TOL
         times, r, p3 = opt._scan(p, 200.0)[2][:3]
         idx = opt._peaks(r, minima=True)
-        lo, hi, _ = opt._bracket(times, r, idx)
+        lo, hi, _ = _scan_brackets(times, r, idx)
         # every 3-point dip, refined by the same solve without pruning
-        (dips,) = opt._solve_groups(opt._DIP, [(cell, lo, hi, 0.0)])
+        dips = _refine(opt._DIP, cell, lo, hi)
         out = _left_out(lo, hi, cell.dip_lo, cell.dip_hi)
         assert out.sum() == lo.size - cell.dip_lo.size
         # each dip left out is left out by exactly one rule: the curvature
         # rule, which never drops the first dip of smallest r, or the P3 floor
-        by_curvature = r[idx] - cell.slack > cell.level
+        by_curvature = r[idx] - cell.slack[0] > cell.level[0]
         by_curvature[np.argmin(r[idx])] = False
         assert not np.any(by_curvature & ~out)
         by_p3 = out & ~by_curvature
@@ -407,17 +438,16 @@ def test_pruned_dips_refine_above_threshold_and_best_sample(threshold):
         # the row would refine in them
         peak = opt._peaks(p3)
         peak = peak[r[peak] <= threshold]
-        lo, hi, x0 = opt._bracket(times, p3, peak)
-        (maxima,) = opt._solve_groups(opt._P3MAX, [(cell, lo, hi, threshold)], [x0])
+        lo, hi, x0 = _scan_brackets(times, p3, peak)
+        maxima = _refine(opt._P3MAX, cell, lo, hi, x0)
         out = _left_out(lo, hi, cell.peak_lo, cell.peak_hi)
         assert out.sum() == lo.size - cell.peak_lo.size
         assert np.all(p3[peak[out]] < below) and np.all(maxima[2, out] < below)
         pruned["P3 peaks"] += out.sum()
         inside, outside = _edge_pairs(r, threshold)
         x0 = opt._secant(times[inside], r[inside], times[outside], r[outside], threshold)
-        (edges,) = opt._solve_groups(opt._EDGE, [(cell, times[inside], times[outside], threshold)], [x0])
-        (maxima,) = opt._solve_groups(opt._P3MAX, [(cell, np.minimum(times[inside], edges[0]),
-                                                    np.maximum(times[inside], edges[0]), threshold)])
+        edges = _refine(opt._EDGE, cell, times[inside], times[outside], x0)
+        maxima = _refine(opt._P3MAX, cell, np.minimum(times[inside], edges[0]), np.maximum(times[inside], edges[0]))
         out = _left_out(times[inside], times[outside], cell.edges[0], cell.edge_out)
         assert out.sum() == inside.size - cell.edge_out.size
         assert np.all(p3[inside[out]] < below) and np.all(edges[2, out] < below) and np.all(maxima[2, out] < below)
@@ -434,12 +464,12 @@ _TIED_POINT = ((1e-4, 0.21),)
 
 def test_p3_pruning_changes_no_result(monkeypatch):
     fields = ("feasible", "t0", "p1p2", "p3", "p4", "p1p2_bound")
-    solve_groups = opt._solve_groups
+    solve = opt._solve
     brackets = [0]
 
-    def counted(kind, groups, starts=None):
-        brackets[0] += sum(lo.size for _, lo, _, _ in groups)
-        return solve_groups(kind, groups, starts)
+    def counted(kind, lo, hi, q, start=None):
+        brackets[0] += lo.size
+        return solve(kind, lo, hi, q, start)
 
     def run():
         rows = [[getattr(c, f) for f in fields]
@@ -451,7 +481,7 @@ def test_p3_pruning_changes_no_result(monkeypatch):
         sweep((0.05, 3.0), (0.05, 3.0), 10, [6, 1], t_max=200.0)
         return rows, brackets[0]
 
-    monkeypatch.setattr(opt, "_solve_groups", counted)
+    monkeypatch.setattr(opt, "_solve", counted)
     pruned, few = run()
     # a floor of -inf keeps every bracket
     monkeypatch.setattr(opt, "_p3_floor", lambda *args: -np.inf)
@@ -541,7 +571,7 @@ def test_bisection_finds_a_dip_the_scan_misses(monkeypatch):
         return idx[np.abs(times[idx] - 16.1) > 0.1] if minima else idx
 
     monkeypatch.setattr(opt, "_peaks", hidden)
-    (cell,) = opt._cells(p, 200.0, [1e-6])
+    cell = opt._cells([p], 200.0, [1e-6])
     scanned = cell.dip_lo.size
     opt._split([cell])
     assert cell.dip_lo.size > scanned
@@ -551,15 +581,15 @@ def test_bisection_finds_a_dip_the_scan_misses(monkeypatch):
 
 def test_a_feasible_midpoint_brackets_the_edges_on_both_sides(amplitude_rows):
     p = CouplingParams.symmetric(0.6, 1.37)
-    (cell,) = opt._cells(p, 200.0, [1e-6])
+    cell = opt._cells([p], 200.0, [1e-6])
     near = np.abs(cell.dip_lo - 16.1) < 0.1
-    (dip,) = opt._solve_groups(opt._DIP, [(cell, cell.dip_lo[near], cell.dip_hi[near], 0.0)])
+    dip = _refine(opt._DIP, cell, cell.dip_lo[near], cell.dip_hi[near])
     t = dip[0, np.argmin(dip[1])]
     # one open interval centred on the feasible minimum, both ends infeasible
     ends = np.array([t - 0.01, t + 0.01])
     p1, p2 = amplitude_rows(*sector_modes(p), ends)[0][:2] ** 2
     assert np.all(p1 + p2 > 1e-6)
-    cell.open = np.concatenate((ends, p1 + p2))[:, None]
+    cell.open, cell.open_own = np.concatenate((ends, p1 + p2))[:, None], np.zeros(1, dtype=int)
     before, dips = cell.edge_out.size, cell.dip_lo.size
     opt._split([cell])
     assert cell.dip_lo[dips:].tolist() == [ends[0]] and cell.dip_hi[dips:].tolist() == [ends[1]]
@@ -568,23 +598,23 @@ def test_a_feasible_midpoint_brackets_the_edges_on_both_sides(amplitude_rows):
     assert np.all(inside[1, before:] <= 1e-6)
     starts = cell.edge_x0[before:]
     assert ends[0] < starts[0] < inside[0, before] < starts[1] < ends[1]
-    (edges,) = opt._solve_groups(opt._EDGE, [(cell, inside[0, before:], outside[before:], 1e-6)], [starts])
+    edges = _refine(opt._EDGE, cell, inside[0, before:], outside[before:], starts)
     assert np.all(edges[1] <= 1e-6) and edges[0, 0] < t < edges[0, 1]
 
 
 def test_flat_series_keep_one_bracket_per_plateau():
     thresholds = [1e-6, 1e-1]
     # g' = 0: r is constant up to rounding; at g = 0.5 it has one value
-    cells = opt._cells(CouplingParams.symmetric(0.5, 0.0), 200.0, thresholds)
-    assert [c.dip_lo.size for c in cells] == [1, 1]
+    cells = opt._cells([CouplingParams.symmetric(0.5, 0.0)], 200.0, thresholds)
+    assert np.bincount(cells.dip_own, minlength=2).tolist() == [1, 1]
     # g = 0: P3 is flat at 0 from t = 0 on, where r = 1 is infeasible
-    cells = opt._cells(CouplingParams.symmetric(0.0, 1.0), 200.0, thresholds)
-    assert [c.peak_lo.size for c in cells] == [0, 0]
+    cells = opt._cells([CouplingParams.symmetric(0.0, 1.0)], 200.0, thresholds)
+    assert cells.peak_lo.size == 0
     # at g = 1 r wobbles by about 3e-16 around 1/3; both thresholds together
     # keep at most 1 % of the samples as dips
     p = CouplingParams.symmetric(1.0, 0.0)
     n = opt._scan_setup(p, 200.0)[2] + 1
-    assert sum(c.dip_lo.size for c in opt._cells(p, 200.0, thresholds)) <= 0.01 * n
+    assert opt._cells([p], 200.0, thresholds).dip_lo.size <= 0.01 * n
 
 
 def test_oversized_scans_are_rejected_before_allocation(forbid_large_grids):
