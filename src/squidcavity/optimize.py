@@ -1,24 +1,17 @@
 """Measurement-time optimization and (g, g') feasibility sweeps.
 
 The entanglement condition P1(t0) = P2(t0) = 0 is operationalized as
-P1 + P2 <= threshold.  Within the feasible set the target-state
-probability P3 is maximized.  The scan's step follows a curvature bound
-L >= |r''| for r = P1 + P2, so between two samples r stays above the
-quadratic minorant min(r_i, r_{i+1}) - L h^2 / 8 (Piyavskii-Shubert).  A
-point is scanned once and cut into one cell per threshold, each deciding
-its own level: an interval whose minorant clears it is excluded by that
-bound, and every other interval is refined, by the dip of r next to it or
-by bisection.  The same bound on |P3''| gives a majorant of P3 between
-samples, so a cell with a feasible sample drops every bracket whose
-samples lie too far below its best feasible P3 for anything refined
-there to win or tie.  Only the passes that need a point's table run per
-point; the cells of a sweep row are then arrays in which every bracket
-carries the index of its cell, and one safeguarded Newton solve per
-equation on the closed-form derivatives refines them all at once, before
-each cell's result is selected by reductions over the row.
-Every result carries a lower bound on min r over (0, t_max]; infeasible
-cells are first-class results carrying the best residual found and a
-bound above their threshold.
+P1 + P2 <= threshold, and within the feasible set the target-state
+probability P3 is maximized.  A point is scanned once, with a step that
+keeps r = P1 + P2 above the Piyavskii-Shubert minorant min(r_a, r_b) -
+L w^2 / 8 on every interval of width w (L >= |r''|) and P3 below the like
+majorant, and cut into one cell per threshold, whose intervals that can
+still matter become nodes.  The derivatives at a node's ends prove r and
+P3 monotone or of one curvature sign there, and with it one root of each
+equation the node holds (r' = 0, r = threshold, P3' = 0) for a safeguarded
+Newton solve, or the node is bisected within a budget per cell.  A sweep
+row's cells are arrays whose nodes carry their cell.  Every result carries
+a proven lower bound on min r over (0, t_max].
 """
 
 import math
@@ -37,24 +30,19 @@ from .model import MAX_COUPLING, CouplingParams
 # between neighbouring samples
 SCAN_SLACK = 2e-3
 P3_TIE_TOL = 1e-9
+# Most midpoints a cell's bisection evaluates, per interval of its scan
+SPLIT_BUDGET = 1
 _T_FLOOR = 1e-12
 _X_TOL = 1e-12
 _MAX_ITER = 100
-# Bound on the error of a computed r, per unit of 1 + E1 t_max: 16 units of
-# 2^-52 in the phase (grid and direct evaluation differ by about a tenth of
-# one, 2.2e-14 at E1 t = 800)
+# Bound on the error of a computed r, per unit of 1 + E1 t_max: 16 units of 2^-52
+# in the phase (grid and direct evaluation differ by 2.2e-14 at E1 t = 800)
 _R_ERROR = 16.0 * 2.0**-52
-# equations a solve can carry: r' = 0, r = level, P3' = 0
+# equations a solve can carry: r' = 0, r = threshold, P3' = 0
 _DIP, _EDGE, _P3MAX = 0, 1, 2
-# rows of _kernels.derivative_weights each equation reads: a1..a4, then
-# a1', a2' and a1'', a2'' for a dip, a1', a2' for an edge, a3' and a3''
-# for a maximum of P3
-_ROWS = ([0, 1, 2, 4], [0, 1, 2], [0, 1, 3, 5])
 # Most sweep results (points x threshold exponents) held in memory
 MAX_CELLS = 2**16
-# Most points of a row refined together: a point's cut brackets take about
-# 5-8 kB at t_max = 200 (tracemalloc, 1 x n sweeps over g = 0.6, g' in
-# [0.5, 2], n = 8..64), so a 1 x 32768 grid cannot hold hundreds of MB
+# Most points of a row refined together, which bounds the nodes held
 _ROW_CELLS = 64
 
 
@@ -63,9 +51,10 @@ class OptimizeResult:
     """Best measurement time for one parameter point and threshold.
 
     For infeasible points ``t0`` is the time of the smallest residual
-    found and ``feasible`` is False.  ``p1p2_bound`` is a lower bound on
-    P1 + P2 over (0, t_max] (see ``_select``); an infeasible result's bound
-    lies above its threshold unless its residual is within rounding of it.
+    found and ``feasible`` is False.  ``p1p2_bound`` is a proven lower bound
+    on P1 + P2 over (0, t_max], less the rounding error of a computed r (see
+    ``_refine``); an infeasible result's bound lies above its threshold
+    unless its residual is within rounding of it.
     """
 
     params: object
@@ -123,14 +112,9 @@ class Fig4Trace:
 
 
 def _step_curvature(p):
-    """L = 4 eta >= |r''| and |P3''| at every t, eta = Omega^2 + 2 g^2 + g'^2.
-
-    The sector state is a unit vector with frequencies up to E1, so
-    |(a1', a2')| <= E1 and |(a1'', a2'')| <= E1^2; r'' = 2 (a1'^2 + a2'^2 +
-    a1 a1'' + a2 a2'') and P3'' = 2 (a3'^2 + a3 a3'') are then at most
-    4 E1^2 <= 4 eta.  Every operation is monotone, so L never decreases as g
-    or g' grows.
-    """
+    """L = 4 eta >= 4 E1^2 >= |r''|, |P3''| (see ``_derivative_bounds``),
+    eta = Omega^2 + 2 g^2 + g'^2.  Every operation is monotone, so L never
+    decreases as g or g' grows."""
     return 4.0 * (p.omega1 * p.omega1 + 2.0 * p.g1 * p.g1 + p.g_prime * p.g_prime)
 
 
@@ -147,11 +131,8 @@ def _scan_setup(p, t_max):
 
 
 def _scan(p, t_max):
-    """Deterministic scan over [_T_FLOOR, t_max].
-
-    Returns ``(m, e, pts)``: the modes and a point table with rows
-    t, r = P1 + P2, P3, P4.
-    """
+    """Deterministic scan over [_T_FLOOR, t_max]: the modes ``m``, ``e`` and
+    a point table ``pts`` with rows t, r = P1 + P2, P3, P4."""
     m, e, n = _scan_setup(p, t_max)
     # rows P1..P4 become t, r, P3, P4 in place; the times are those of
     # np.linspace(0, t_max, n + 1), computed as it computes them
@@ -163,409 +144,305 @@ def _scan(p, t_max):
     return m, e, pts
 
 
-def _peaks(x, minima=False):
-    """Indices of the 3-point maxima of x, or with ``minima`` its 3-point
-    minima: samples that tie or beat their right neighbour and strictly
-    beat their left one (a missing neighbour never wins), so a tied plateau
-    counts once, at its first sample."""
-    ties, beats = (np.less_equal, np.less) if minima else (np.greater_equal, np.greater)
-    ok = np.empty(x.size, dtype=bool)
-    ties(x[:-1], x[1:], out=ok[:-1])
-    ok[-1] = True
-    ok[1:] &= beats(x[1:], x[:-1])
-    return ok.nonzero()[0]
+def _derivative_bounds(d, e, curvature):
+    """Bounds (L, M, L3, M3) on |r''|, |r'''|, |P3''|, |P3'''| at every t from
+    a point's ``derivative_weights`` ``d``, frequencies ``e`` and curvature.
 
-
-def _around(idx, n):
-    """Indices of samples idx - 1, idx and idx + 1, clipped to [0, n]."""
-    return np.minimum(np.maximum(idx + np.arange(-1, 2)[:, None], 0), n)
-
-
-def _bracket(idx, t, x):
-    """Brackets [t_{i-1}, t_{i+1}] around samples idx, clipped to the grid,
-    and the Newton starts in them (see ``_vertex``), from the times ``t``
-    and values ``x`` at ``_around(idx, n)``.
-
-    Every probability is even in t, so t = 0 is an exact critical point: the
-    first sample gets the empty bracket [t_0, t_0] and stays as sampled.
+    r'' = 2 (a1'^2 + a1 a1'' + a2'^2 + a2 a2''), r''' = 2 (3 (a1' a1'' +
+    a2' a2'') + a1 a1''' + a2 a2'''), and P3 = a3^2 likewise, where a row's
+    sum_j |w_kj| E_j^i bounds its derivative i.  The sector state is a unit
+    vector with frequencies up to E1, so the second-order bounds are also at
+    most 4 E1^2 <= ``curvature`` and the third-order ones at most 8 E1^3.
     """
-    if not idx.size:
-        return t[0], t[0], t[0]
-    first = idx == 0
-    hi, right = np.where(first, t[1], t[2]), np.where(first, x[1], x[2])
-    return t[0], hi, _vertex(t[0], t[1], hi, x[0], x[1], right)
+    c, s = np.abs(d).sum(axis=2).tolist()
+    # the sums of the third derivatives: of a1, a3 and of a2, a4
+    c3, s3 = (np.abs(d[:, 4:]) * e).sum(axis=2).tolist()
+    cube = 8.0 * float(e[0]) ** 3
+    return (
+        min(curvature, 2.0 * (s[2] * s[2] + c[0] * c[4] + c[2] * c[2] + s[0] * s[4])),
+        min(cube, 2.0 * (3.0 * (s[2] * c[4] + c[2] * s[4]) + c[0] * c3[0] + s[0] * s3[0])),
+        min(curvature, 2.0 * (s[3] * s[3] + c[1] * c[5])),
+        min(cube, 2.0 * (3.0 * s[3] * c[5] + c[1] * c3[1])),
+    )
 
 
-def _vertex(lo, t, hi, left, mid, right):
-    """Vertex of the parabola through (lo, left), (t, mid), (hi, right), t the
-    midpoint of [lo, hi], clipped to [lo, hi]; t where the three are level.
-    A Newton solve started there takes about one step fewer than from t."""
-    den = (left - mid) + (right - mid)
-    flat = den == 0.0
-    x = t + 0.25 * (hi - lo) * (left - right) / (den + flat)
-    return np.where(flat, t, np.minimum(np.maximum(x, lo), hi))
-
-
-def _secant(t_in, r_in, t_out, r_out, level):
-    """Where the chord from (t_in, r_in) to (t_out, r_out) meets ``level``,
-    for r_in <= level < r_out: a Newton start for the edge between them."""
-    return t_in + (level - r_in) * (t_out - t_in) / (r_out - r_in)
-
-
-def _curvature_bound(a):
-    """L2 >= |r''| everywhere, for r = a1^2 + a2^2, from the sums ``a`` of
-    |weights| of each row of ``_kernels.derivative_weights``.
-
-    r'' = 2 (a1'^2 + a1 a1'' + a2'^2 + a2 a2''), and a row's sum of |weights|,
-    sum_j |w_kj| E_j^i for its derivative i, bounds its magnitude.
+def _p3_floor(p3, curvature3, h, eps):
+    """The P3 an interval's samples must reach for it to hold a candidate
+    that can still win, where ``p3`` is the largest P3 of a feasible sample
+    (one per threshold) and ``curvature3`` bounds |P3''|.  Between two
+    samples P3 stays below the larger one plus slack3 = ``curvature3`` h^2 /
+    8.  A feasible sample is a candidate, so the top candidate has at least
+    ``p3``, and a point between samples below the floor has P3 below
+    ``p3 - P3_TIE_TOL``, outside the tie band.  The margin 3 eps covers the
+    error of the sampled and the refined P3 (each within eps, as a computed
+    r is) and of this difference.
     """
-    c, s = a
-    return 2.0 * (s[2] * s[2] + c[0] * c[4] + c[2] * c[2] + s[0] * s[4])
-
-
-def _p3_floor(p3, a, curvature, h, eps):
-    """The P3 a bracket's samples must reach for it to hold a candidate that
-    can still win, where ``p3`` is the largest P3 of a feasible sample (one
-    per threshold).
-
-    P3'' = 2 (a3'^2 + a3 a3'') is at most L3 = 2 (A1_3^2 + A0_3 A2_3), from
-    the sums ``a`` as in ``_curvature_bound``, so between two samples P3 stays
-    below the larger one plus slack3 = min(``curvature``, L3) h^2 / 8.  A
-    feasible sample of P3 ``p3`` is itself a candidate, so the winner has at
-    least ``p3``.  A point refined in a bracket whose samples all lie below
-    the floor has P3 below ``p3 - P3_TIE_TOL``: outside the winner's tie
-    band, it can neither win nor tie.  The margin 3 eps covers the error of
-    the sampled P3 and of the refined one (a computed P3, the square of one
-    of the same unit-norm series, is within eps as a computed r is) and the
-    rounding of this difference.
-    """
-    c, s = a
-    slack3 = min(curvature, 2.0 * (s[3] * s[3] + c[1] * c[5])) * h * h / 8.0
-    return p3 - P3_TIE_TOL - slack3 - 3.0 * eps
+    return p3 - P3_TIE_TOL - curvature3 * h * h / 8.0 - 3.0 * eps
 
 
 @dataclass
 class _Cells:
-    """What refinement and selection read of the scans of a row's points,
-    as arrays over the cells: cell o = i K + j is threshold j of point i,
-    for K thresholds, and each bracket belongs to the cell in its ``*_own``
-    entry.
-
-    Per cell: ``weights`` and ``freqs`` are the ``derivative_weights`` and
-    frequencies of its point, ``best`` is the point's sample of smallest r,
-    ``slack`` the minorant's L h^2 / 8, ``eps`` the error of a computed r,
-    and ``level`` the one level the threshold decides: the threshold plus
-    ``eps``, or ``best`` less ``eps`` where that is larger.  ``bound``
-    bounds from below the minorants of the intervals left unrefined.
-
-    The dips are the 3-point minima of r whose minorant reaches ``level``,
-    the first of smallest r always among them, then those ``_split`` finds,
-    with their brackets, Newton starts (see ``_vertex``) and sampled r.
-    ``peaks`` are the feasible 3-point maxima of P3, with their brackets and
-    Newton starts; ``edges`` are the feasible samples next to an infeasible
-    one, ``edge_out`` the times of those neighbours and ``edge_x0`` their
-    Newton starts (see ``_secant``).  An interval is open when both its
-    samples are infeasible and its minorant is at most ``level``: it may
-    then hold a feasible time or a residual below ``best``.  ``_split``
-    bisects the open intervals no dip's bracket holds (columns of ``open``:
-    the times of their ends, then r there) and adds the dips and edges it
-    finds.  Where a sample is feasible, all of these but the dip of the best
-    sample reach the P3 floor (see ``_cut``).
+    """What refinement and selection read of a row's scans, as arrays over
+    the cells: cell o = i K + j is threshold j of point i, for K thresholds,
+    and node k, [``node_lo``, ``node_hi``], belongs to cell ``node_own[k]``.
+    Per cell (the last axis): ``q`` holds its point's ``derivative_weights``
+    and frequencies and its threshold (see ``_solve``), ``bounds`` the
+    ``_derivative_bounds``, ``best`` the point's sample of smallest r,
+    ``eps`` the error of a computed r, ``level`` the threshold plus eps, or
+    ``best`` less eps where that is larger, and ``floor`` the P3 floor (-inf
+    without a feasible sample).  ``bound`` bounds r from below outside the
+    nodes, and ``budget`` counts the midpoints bisection may evaluate.
     """
 
     params: list
     threshold: np.ndarray
-    weights: np.ndarray
-    freqs: np.ndarray
+    q: np.ndarray
+    bounds: np.ndarray
     best: np.ndarray
-    slack: np.ndarray
     eps: np.ndarray
     level: np.ndarray
+    floor: np.ndarray
     bound: np.ndarray
-    dip_own: np.ndarray
-    dip_lo: np.ndarray
-    dip_hi: np.ndarray
-    dip_x0: np.ndarray
-    dip_r: np.ndarray
-    peak_own: np.ndarray
-    peaks: np.ndarray
-    peak_lo: np.ndarray
-    peak_hi: np.ndarray
-    peak_x0: np.ndarray
-    edge_own: np.ndarray
-    edges: np.ndarray
-    edge_out: np.ndarray
-    edge_x0: np.ndarray
-    open_own: np.ndarray
-    open: np.ndarray
+    budget: np.ndarray
+    node_own: np.ndarray
+    node_lo: np.ndarray
+    node_hi: np.ndarray
 
 
 def _cut(p, t_max, thr):
-    """Scan one point and gather what its cells at thresholds ``thr`` read
-    of its point table, which is then dropped: the passes over the table
-    run here, each for all thresholds at once, and ``_cells`` does the rest.
+    """Scan one point and cut its table down to the nodes of its cells at
+    thresholds ``thr`` (each pass for all of them) before it is dropped.
 
-    A threshold with a feasible sample gets a P3 floor (see ``_p3_floor``)
-    from its largest feasible P3, and every bracket, edge pair and open
-    interval whose samples all lie below it is dropped, after the intervals
-    next to a kept dip have been closed.  Such a bracket holds no candidate
-    inside the winner's tie band, and its minorant of r, like every
-    minorant, is at least best - slack, the cell's ``bound``, so the result
-    and its bound are those of the full cell.  The 3-point maxima of P3 are
-    only looked for among the samples that reach the lowest floor.
-
-    Returns the point, its ``derivative_weights``, frequencies, slack, eps
-    and ``best``, per threshold the level and the floor, then four groups,
-    each led by the threshold index of every entry: the kept dips with t, r
-    and P3 ``_around`` them; the kept maxima of P3 with the point table
-    around them; the edge pairs with the point table at the feasible end
-    and t, r at the other; and the open intervals with t, r and P3 at both
-    ends (the level and floor of these are applied by ``_cells``).
+    An interval is a node when its minorant of r, the smaller sample less
+    the slack, is at most the level and, where a sample is feasible, its
+    larger P3 sample reaches the P3 floor of the largest feasible P3.  Any
+    other interval holds no feasible time or residual below the level, or
+    nothing that can win or tie; its minorant is at least best - slack, so
+    the cell's bound holds it.  The nodes come as threshold index and ends.
     """
     m, e, pts = _scan(p, t_max)
     times, r, p3 = pts[0], pts[1], pts[2]
     n = times.size - 1
     d = _kernels.derivative_weights(m, e)
     h = t_max / n
-    a = np.abs(d).sum(axis=2).tolist()
-    curvature = _step_curvature(p)
-    # both bounds hold, and the point's own is the tighter where r is flat
-    slack = min(curvature, _curvature_bound(a)) * h * h / 8.0
+    bounds = _derivative_bounds(d, e, _step_curvature(p))
+    slack = bounds[0] * h * h / 8.0
     eps = _R_ERROR * (1.0 + float(e[0]) * t_max)
-    dip = _peaks(r, minima=True)
-    dip_r = r[dip]
-    # the first sample of smallest r is the first dip of smallest r
-    first = dip_r.argmin()
-    best = pts[:, dip[first]].copy()
-    # from here on, row j of a 2-d array belongs to threshold j.  An
-    # interval at or below level may hold a feasible time or a residual
-    # below best; a dip's bracket holds the intervals next to it, whose
-    # minorant is dip_r - slack, and the best sample's dip is always read
+    # the first sample of smallest r
+    best = pts[:, r.argmin()].copy()
+    # row j of a 2-d array belongs to threshold j
     level = np.maximum(thr + eps, best[1] - eps)
-    keep = dip_r - slack <= level[:, None]
-    keep[:, first] = True
-    # an interval is open when both its samples are infeasible and its
-    # minorant, the smaller sample less the slack, is at most level: a
-    # sample of it then lies in (threshold, level + slack]
-    band = r <= (level + slack)[:, None]
+    keep = np.minimum(r[:-1], r[1:]) <= (level + slack)[:, None]
     floor = np.full(thr.size, -np.inf)
-    edge = inside = outside = peak_own = peak = dip[:0]
-    peak_pts = np.empty((4, 3, 0))
     feasible = (best[1] <= thr).nonzero()[0]
     if feasible.size:
-        feas = r <= thr[feasible, None]
-        band[feasible] ^= feas
-        floor[feasible] = _p3_floor(np.array([p3[f].max() for f in feas]), a, curvature, h, eps)
-        # the feasible and the infeasible sample of each pair of neighbours
-        # on either side of a threshold, where they reach its floor
-        row, cut = divmod((feas[:, :-1] != feas[:, 1:]).ravel().nonzero()[0], n)
-        lo = feas[row, cut]
-        inside, outside, edge = cut + ~lo, cut + lo, feasible[row]
-        reach = np.maximum(p3[inside], p3[outside]) >= floor[edge]
-        inside, outside, edge = inside[reach], outside[reach], edge[reach]
-        # the 3-point maxima of P3 among the samples feasible at the loosest
-        # threshold that reach the lowest floor, then those feasible at each
-        # threshold that reach its floor
-        peak = ((p3 >= floor[feasible].min()) & feas[thr[feasible].argmax()]).nonzero()[0]
-        peak_pts = pts[:, _around(peak, n)]
-        x = peak_pts[2]
-        is_max = (x[1] >= x[2]) & ((x[1] > x[0]) | (peak == 0))
-        peak, peak_pts = peak[is_max], peak_pts[:, :, is_max]
-        peak_own, at = ((peak_pts[1, 1] <= thr[:, None]) & (peak_pts[2, 1] >= floor[:, None])).nonzero()
-        peak, peak_pts = peak[at], peak_pts[:, :, at]
-    # column n pads the intervals: it stands for those before the first and
-    # after the last sample, which a dip there closes
-    opened = np.zeros((thr.size, n + 1), dtype=bool)
-    np.bitwise_or(band[:, :-1], band[:, 1:], out=opened[:, :n])
-    # but those a kept dip's bracket holds are refined with the dip (the
-    # first sample's bracket is empty)
-    row, at = keep.nonzero()
-    at = dip[at]
-    opened[row, at - 1] = False
-    opened[row, np.where(at > 0, at, n)] = False
-    opened = divmod(opened.ravel().nonzero()[0], n + 1)
-    dip_pts = pts[:3, _around(dip, n)]
-    if feasible.size:
-        # a bracket whose samples all lie below the floor is dropped, but
-        # never the dip of the best sample
-        keep &= dip_pts[2].max(axis=0) >= floor[:, None]
-        keep[:, first] = True
-    row, at = keep.nonzero()
-    return (
-        p, d, e, slack, eps, best, level, floor,
-        (row, dip[at], dip_pts[:, :, at]), (peak_own, peak, peak_pts),
-        (edge, pts[:, inside], pts[:2, outside]), (opened[0], pts[:3, opened[1] + np.arange(2)[:, None]]),
-    )
-
-
-def _cat(pieces):
-    """The pieces of a row's points joined along their last axis."""
-    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=-1)
+        high = np.maximum(p3[:-1], p3[1:])
+        top = np.array([p3[r <= thr[j]].max() for j in feasible])
+        floor[feasible] = _p3_floor(top, bounds[2], h, eps)
+        keep[feasible] &= high >= floor[feasible, None]
+        slack3 = bounds[2] * h * h / 8.0
+        # where P3 moves less than P3_TIE_TOL between samples, cap bounds every
+        # candidate's P3, and a feasible sample within P3_TIE_TOL of it (less
+        # rounding) is tied with the winner; after it an interval matters only
+        # if it can raise the largest P3, and not at all if all P3 are tied
+        for j in feasible if slack3 + 4.0 * eps <= P3_TIE_TOL else ():
+            cap = np.max(high, where=keep[j], initial=-np.inf) + slack3 + 2.0 * eps
+            tied = np.flatnonzero((p3 >= cap - P3_TIE_TOL + 2.0 * eps) & (r <= thr[j] - eps))
+            if tied.size:
+                after = max(tied[0], 1)
+                keep[j, after:] &= high[after:] >= (floor[j] + P3_TIE_TOL if cap > P3_TIE_TOL else np.inf)
+    own, at = keep.nonzero()
+    return d, e, n, slack, eps, best, bounds, level, floor, (own, times[at], times[at + 1])
 
 
 def _cells(params, t_max, thresholds):
-    """Scan the points in turn and cut each table down (see ``_cut``)
-    before the next is scanned, then join what the points' cells read into
-    one ``_Cells`` for the row, with the brackets and Newton starts."""
+    """Scan and cut the points in turn (see ``_cut``), one table at a time,
+    and join what their cells read into one ``_Cells`` for the row."""
     thr = np.array(thresholds, dtype=float)
-    (params, d, e, slack, eps, best, level, floor, *groups) = zip(*(_cut(p, t_max, thr) for p in params))
     k = thr.size
-    threshold, level, floor = _cat([thr] * len(params)), _cat(level), _cat(floor)
-    slack, eps = np.array((slack, eps)).repeat(k, axis=1)
-    best = np.array(best).T.repeat(k, axis=1)
-    start = np.arange(0, k * len(params), k)
+    d, e, n, slack, eps, best, bounds, level, floor, nodes = zip(*(_cut(p, t_max, thr) for p in params))
 
-    def joined(group):
-        """The pieces of a group, one per point, joined; the threshold
-        indices that lead it become cells."""
-        own, *pieces = zip(*group)
-        cells = _cat(own) if len(own) == 1 else np.repeat(start, [x.size for x in own]) + _cat(own)
-        return (cells, *map(_cat, pieces))
+    def cells(x):
+        """Per-point rows of x as columns, one for each cell."""
+        return np.repeat(np.array(x).T, k, axis=-1)
 
-    ((dip_own, dip, dip_pts), (peak_own, peak, peak_pts), (edge_own, inside, outside),
-     (open_own, open_pts)) = map(joined, groups)
-    # the open intervals whose minorant reaches the level and whose samples
-    # reach the floor (a cell with no feasible sample has no floor)
-    low = open_pts[1].min(axis=0)
-    go = (low > threshold[open_own]) & (low <= level[open_own] + slack[open_own])
-    go &= open_pts[2].max(axis=0) >= floor[open_own]
-    edge_x0 = _secant(*inside[:2], *outside, threshold[edge_own]) if edge_own.size else outside[0]
+    threshold, best, level = np.tile(thr, len(params)), cells(best), np.concatenate(level)
+    own, lo, hi = zip(*nodes)
     return _Cells(
-        list(params), threshold, np.array(d).transpose(1, 2, 3, 0).repeat(k, axis=-1),
-        np.array(e).T.repeat(k, axis=-1), best, slack, eps, level,
-        # every minorant is at least best - slack, best the smallest sample,
-        # also that of an interval left unrefined or dropped; where no sample
-        # is feasible, one left unrefined has a minorant above the level
-        np.where(best[1] <= threshold, best[1] - slack, level),
-        dip_own, *_bracket(dip, dip_pts[0], dip_pts[1]), dip_pts[1, 1],
-        peak_own, peak_pts[:, 1], *_bracket(peak, peak_pts[0], peak_pts[2]),
-        edge_own, inside, outside[0], edge_x0,
-        open_own[go], open_pts[:2, :, go].reshape(4, -1),
+        list(params), threshold, np.concatenate((cells(np.reshape(d, (len(params), -1))), cells(e), threshold[None])),
+        cells(bounds), best, cells(eps), level, np.concatenate(floor),
+        # every minorant is at least best - slack; where no sample is
+        # feasible, that of an interval left out is above the level
+        np.where(best[1] <= threshold, best[1] - cells(slack), level), SPLIT_BUDGET * cells(n),
+        np.concatenate([j + i * k for i, j in enumerate(own)]), np.concatenate(lo), np.concatenate(hi),
     )
 
 
-def _columns(kind, c):
-    """Column o: the weights of the ``_ROWS[kind]`` rows and the frequencies
-    of cell o's point, then its threshold (see ``_equation``)."""
-    w = c.weights[:, _ROWS[kind]]
-    return np.concatenate((w.reshape(-1, w.shape[-1]), c.freqs, c.threshold[None]))
+def _ends(q, t):
+    """Rows t, r, P3, P4, r', r'', P3', P3'' at times ``t``, each with the
+    modes of its column of ``q`` (see ``_solve``), from one elementwise
+    ``derivative_rows`` evaluation: the same bits in any batch."""
+    cs = _kernels.derivative_rows(q[:24].reshape((2, 6, 2) + q.shape[1:]), q[24:26], t)
+    # the amplitudes [[a1, a3], [a2, a4]] and their first two derivatives,
+    # then a^2 and its derivatives 2 a a' and 2 (a'^2 + a a'')
+    x, x1, x2 = cs[:, 0:2], cs[::-1, 2:4], cs[:, 4:6]
+    sq, d1, d2 = x * x, x * x1, x1 * x1 + x * x2
+    v = np.empty((8,) + cs.shape[2:])
+    v[0] = t
+    np.add(sq[0, 0], sq[1, 0], out=v[1])
+    v[2:4] = sq[:, 1]
+    v[4] = 2.0 * (d1[0, 0] + d1[1, 0])
+    v[5] = 2.0 * (d2[0, 0] + d2[1, 0])
+    v[6] = 2.0 * d1[0, 1]
+    v[7] = 2.0 * d2[0, 1]
+    return v
 
 
-def _split(parts):
-    """Bisect the open intervals of the cells of each ``_Cells`` in
-    ``parts`` (a row has one) until each closes or shows a dip, and add
-    those dips, their edges and the bounds to the cells.
+def _classify(c, own, a, b):
+    """Which nodes (owners ``own``, end tables ``a``, ``b``) are resolved,
+    their slack, a lower bound on r over each, and which hold one dip of r
+    and one maximum of P3.  A node is resolved when r is proven monotone,
+    convex, concave with an infeasible end, or feasible throughout by its
+    majorant, and, where its minorant reaches the threshold (plus eps), P3
+    is proven monotone or of one curvature sign: with |f''| <= L, |f'''| <= M
+    and w = b - a, 2 f'(t) >= f'(a) + f'(b) - L w and 2 f''(t) >= f''(a) +
+    f''(b) - M w on [a, b].  The bound is the smaller end where r's shape is
+    proven (a resolved dip is refined), the minorant elsewhere."""
+    thr = c.threshold[own]
+    lip, cub, lip3, cub3 = c.bounds[:, own]
+    w = b[0] - a[0]
 
-    Each level samples r at the midpoints of all open intervals in one
-    kernel call.  A midpoint below both ends makes its interval a dip
-    bracket; a feasible midpoint also brackets the edges on both sides.
-    Otherwise each half, with a quarter of the slack, stays open while its
-    minorant still reaches its cell's level; where it closes, its minorant
-    is above the level, which ``bound`` already allows for.  An interval
-    whose slack is below ``eps`` cannot be resolved further and enters the
-    bound as it is.  Every interval is its cell's alone and evaluates to the
-    same bits in any batch, so a sweep cell reads what ``find_t0`` reads.
+    def shape(row, lip, cub):
+        """Whether f, with f' and f'' in rows ``row`` and ``row + 1`` of the
+        end tables, is proven monotone, convex or concave on each node."""
+        bend = a[row + 1] + b[row + 1]
+        return np.abs(a[row] + b[row]) > lip * w, bend >= cub * w, bend <= -cub * w
+
+    slack = lip * w * w / 8.0
+    low = np.minimum(a[1], b[1])
+    mono, convex, concave = shape(4, lip, cub)
+    shaped = mono | convex | concave
+    resolved = mono | convex | concave & ((a[1] > thr) | (b[1] > thr))
+    resolved |= np.maximum(a[1], b[1]) + slack <= thr
+    mono3, convex3, concave3 = shape(6, lip3, cub3)
+    reach = low - slack <= thr + c.eps[own]
+    resolved &= mono3 | convex3 | concave3 | ~reach
+    dip = convex & (a[4] <= 0.0) & (b[4] > 0.0)
+    low = np.where(shaped & (resolved | ~dip), low, low - slack)
+    peak = resolved & reach & concave3 & (a[6] >= 0.0) & (b[6] < 0.0)
+    return resolved, slack, low, resolved & dip, peak
+
+
+def _bisect(c, own, a, b):
+    """Split nodes at their midpoints (one kernel call) and keep the halves
+    whose minorant of r reaches their cell's level and P3 samples its floor."""
+    mid = _ends(c.q[:, own], 0.5 * (a[0] + b[0]))
+    own = np.concatenate((own, own))
+    a, b = np.concatenate((a, mid), axis=1), np.concatenate((mid, b), axis=1)
+    w = b[0] - a[0]
+    go = np.minimum(a[1], b[1]) - c.bounds[0, own] * w * w / 8.0 <= c.level[own]
+    go &= np.maximum(a[2], b[2]) >= c.floor[own]
+    return own[go], a[:, go], b[:, go]
+
+
+def _refine(c):
+    """Resolve the nodes of cells ``c`` and solve each equation where the
+    end signs prove one root; lower ``c.bound`` by what the nodes leave and
+    return the owners and point tables of the candidates: the node ends,
+    then the refined dips, edges and P3 maxima.
+
+    The node ends are one kernel call, and each level of bisecting those
+    ``_classify`` leaves unresolved one more.  A node whose cell has used its
+    budget, or whose slack is below eps, stops: its minorant enters the
+    bound.  A solve starts at the regula-falsi point of the end values:
+
+    - r' = 0 where r' goes from - to + in a convex node;
+    - r = threshold where feasibility changes across a node with no dip,
+      and between a feasible dip and each infeasible end;
+    - P3' = 0 where P3' goes from + to - in a concave-P3 node with a
+      feasible end or dip.
+
+    So the largest P3 of a node's feasible part lies at a candidate, and its
+    smallest r at an end or the dip.  A node's result has the same bits
+    alone or in any batch, so a sweep cell equals ``find_t0``.
     """
-    for c in parts:
-        own = c.open_own
-        if not own.size:
-            continue
-        # one column per interval: its ends, r there and its slack
-        node = np.concatenate((c.open, c.slack[own][None]))
-        bound = c.bound.copy()
-        q = _columns(_EDGE, c)
-        found = []
-        while own.size:
-            stop = node[4] < c.eps[own]
-            if stop.any():
-                np.minimum.at(bound, own[stop], np.minimum(node[2, stop], node[3, stop]) - node[4, stop])
-                node, own = node[:, ~stop], own[~stop]
-                if not own.size:
-                    break
-            mid = 0.5 * (node[0] + node[1])
-            pts = _equation(_EDGE, q[:, own], mid)[2]
-            dip = pts[1] < np.minimum(node[2], node[3])
-            if dip.any():
-                x0 = _vertex(node[0, dip], mid[dip], node[1, dip], node[2, dip], pts[1, dip], node[3, dip])
-                found.append((own[dip], np.concatenate((node[:4, dip], x0[None], pts[:, dip]))))
-                node, own, pts = node[:, ~dip], own[~dip], pts[:, ~dip]
-            # the halves [lo, mid] and [mid, hi]
-            m = own.size
-            node = np.concatenate((node, node), axis=1)
-            node[1, :m] = node[0, m:] = pts[0]
-            node[3, :m] = node[2, m:] = pts[1]
-            node[4] *= 0.25
-            own = np.concatenate((own, own))
-            go = np.minimum(node[2], node[3]) <= c.level[own] + node[4]
-            node, own = node[:, go], own[go]
-        c.bound = bound
-        if not found:
-            continue
-        own = np.concatenate([f[0] for f in found])
-        (lo, hi, r_lo, r_hi, x0), mids = np.split(np.concatenate([f[1] for f in found], axis=1), [5])
-        c.dip_own, c.dip_lo, c.dip_hi = (np.concatenate(v) for v in ((c.dip_own, own), (c.dip_lo, lo), (c.dip_hi, hi)))
-        c.dip_x0, c.dip_r = np.concatenate((c.dip_x0, x0)), np.concatenate((c.dip_r, mids[1]))
-        threshold = c.threshold[own]
-        f = mids[1] <= threshold
-        t, r, threshold = mids[0, f], mids[1, f], threshold[f]
-        c.edge_own = np.concatenate((c.edge_own, own[f], own[f]))
-        c.edges = np.concatenate((c.edges, mids[:, f], mids[:, f]), axis=1)
-        c.edge_out = np.concatenate((c.edge_out, lo[f], hi[f]))
-        c.edge_x0 = np.concatenate((c.edge_x0, _secant(t, r, lo[f], r_lo[f], threshold),
-                                    _secant(t, r, hi[f], r_hi[f], threshold)))
+    own = c.node_own
+    ends = _ends(c.q[:, own][:, None], np.stack((c.node_lo, c.node_hi)))
+    a, b = ends[:, 0], ends[:, 1]
+    used = np.zeros(c.budget.size)
+    nodes = []
+    while True:
+        resolved, slack, low, dip, peak = _classify(c, own, a, b)
+        node = (own, a, b, resolved, low, dip, peak)
+        split = ~resolved & (used[own] < c.budget[own]) & (slack >= c.eps[own])
+        if not split.any():
+            break
+        nodes.append([x[..., ~split] for x in node])
+        own = own[split]
+        used += np.bincount(own, minlength=used.size)
+        own, a, b = _bisect(c, own, a[:, split], b[:, split])
+    nodes.append(node)
+    own, a, b, resolved, low, dip, peak = (
+        x[0] if len(x) == 1 else np.concatenate(x, axis=-1) for x in zip(*nodes))
+    np.minimum.at(c.bound, own, low)
+    thr = c.threshold[own]
 
+    def solve(kind, at, lo, hi, f_lo, f_hi):
+        if not at.size:
+            return np.empty((4, 0))
+        return _solve(kind, lo, hi, c.q[:, at], lo + f_lo * (hi - lo) / (f_lo - f_hi))
 
-def _equation(kind, q, t):
-    """f and f' of equation ``kind`` at t, and the point table there.
-
-    Column j of ``q`` holds the weights of the ``_ROWS[kind]`` rows of
-    ``_kernels.derivative_weights``, the frequencies and the level of time
-    t[..., j].  The signs make a wanted root an upward crossing: r' for a
-    minimum of r, r - level for an edge whose feasible end is ``lo``, -P3'
-    for a maximum.
-    """
-    nw = 4 * len(_ROWS[kind])
-    c, s = _kernels.derivative_rows(q[:nw].reshape((2, -1, 2) + q.shape[1:]), q[nw:nw + 2], t)
-    # c[0], s[0], c[1], s[1] are a1..a4; rows 2 and 3 hold the derivatives
-    # the equation reads (see _ROWS)
-    pts = np.empty((4,) + c.shape[1:])
-    pts[0] = t
-    r = np.add(c[0] * c[0], s[0] * s[0], out=pts[1])
-    np.multiply(c[1], c[1], out=pts[2])
-    np.multiply(s[1], s[1], out=pts[3])
-    if kind == _P3MAX:
-        f, df = -2.0 * c[1] * s[2], -2.0 * (s[2] * s[2] + c[1] * c[3])
-    else:
-        dr = 2.0 * (c[0] * s[2] + s[0] * c[2])
-        if kind == _DIP:
-            f, df = dr, 2.0 * (s[2] * s[2] + c[0] * c[3] + c[2] * c[2] + s[0] * s[3])
-        else:
-            f, df = r - q[nw + 2], dr
-    return f, df, pts
+    dips = solve(_DIP, own[dip], a[0, dip], b[0, dip], a[4, dip], b[4, dip])
+    # (t, r) at the ends of the resolved nodes, each split at its dip, and
+    # at the feasible and infeasible end of those that hold an edge
+    flat = resolved & ~dip
+    edge_own = np.concatenate((own[flat], own[dip], own[dip]))
+    lo = np.concatenate((a[:2, flat], a[:2, dip], dips[:2]), axis=1)
+    hi = np.concatenate((b[:2, flat], dips[:2], b[:2, dip]), axis=1)
+    level = c.threshold[edge_own]
+    feasible = lo[1] <= level
+    cross = feasible != (hi[1] <= level)
+    inside, outside = np.where(feasible, lo, hi)[:, cross], np.where(feasible, hi, lo)[:, cross]
+    edge_own, level = edge_own[cross], level[cross]
+    edges = solve(_EDGE, edge_own, inside[0], outside[0], inside[1] - level, outside[1] - level)
+    # a maximum of P3 counts where its node holds a feasible point
+    hold = (a[1] <= thr) | (b[1] <= thr)
+    hold[dip] |= dips[1] <= thr[dip]
+    peak &= hold
+    maxima = solve(_P3MAX, own[peak], a[0, peak], b[0, peak], -a[6, peak], -b[6, peak])
+    return (
+        np.concatenate((own, own, own[dip], edge_own, own[peak])),
+        np.concatenate((a[:4], b[:4], dips, edges, maxima), axis=1),
+    )
 
 
 def _solve(kind, lo, hi, q, start=None):
-    """One root of equation ``kind`` per bracket [lo, hi] by bracketed
-    Newton (rtsafe), one kernel call per iteration over all open brackets;
-    column j of ``q`` is bracket j's modes and level (see ``_equation``).
+    """The point table at one root of equation ``kind`` per bracket [lo, hi]
+    with f(lo) <= 0 < f(hi), by bracketed Newton (rtsafe), one kernel call
+    per iteration over all open brackets; column j of ``q`` is bracket j's
+    ``derivative_weights``, frequencies and threshold.  f is r' for a dip,
+    r - threshold for an edge whose feasible end is ``lo``, -P3' for a
+    maximum of P3.
 
     A Newton step leaving the bracket, or not halving the previous step,
     bisects instead (one landing on an end is kept).  A step below the
     tolerance 1e-12 max(1, t) is pushed that far past the root and ends the
     solve.  Newton starts at ``start``, by default the midpoint.  The result
     is the last point evaluated with f <= 0, so an edge is feasible under
-    the same closed form; a bracket without the sign change
-    f(lo) <= 0 < f(hi) returns its start.  Every bracket's result depends
-    on that bracket alone.  Returns the point table.
+    the same closed form, and depends on its bracket alone.
     """
-    mid = 0.5 * (lo + hi) if start is None else start
-    f, df, pts = _equation(kind, q[:, None], np.array((lo, hi, mid)))
-    idx = np.flatnonzero((f[0] <= 0.0) & (f[1] > 0.0))
-    out = pts[:, 2].copy()
-    out[:, idx] = pts[:, 0, idx]
-    a, b, x, step = lo[idx], hi[idx], mid[idx], np.abs(hi - lo)[idx]
-    f, df, pts, q = f[2, idx], df[2, idx], pts[:, 2, idx], q[:, idx]
-    final = np.zeros(idx.size, dtype=bool)
+
+    def equation(q, t):
+        v = _ends(q, t)
+        f, df = (v[4], v[5]) if kind == _DIP else (v[1] - q[26], v[4]) if kind == _EDGE else (-v[6], -v[7])
+        return f, df, v[:4]
+
+    x = 0.5 * (lo + hi) if start is None else start
+    f, df, pts = equation(q[:, None], np.array((lo, x)))
+    out = pts[:, 0].copy()
+    idx, a, b, step = np.arange(lo.size), lo, hi, np.abs(hi - lo)
+    f, df, pts = f[1], df[1], pts[:, 1]
+    final = np.zeros(lo.size, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_MAX_ITER):
             neg = f <= 0.0
@@ -589,58 +466,16 @@ def _solve(kind, lo, hi, q, start=None):
             final &= ~bis
             step = np.abs(xn - x)
             x = xn
-            f, df, pts = _equation(kind, q, x)
+            f, df, pts = equation(q, x)
     return out
-
-
-def _result(p, threshold, t_max, feasible, row, bound):
-    t0, p1p2, p3, p4 = map(float, row)
-    return OptimizeResult(p, threshold, t_max, feasible, t0, p1p2, p3, p4, bound)
 
 
 def _row(params, thresholds, t_max):
     """The results of one row of points, point by point and, within a
-    point, threshold by threshold.
-
-    ``_cells`` scans the points in turn and cuts each table down before the
-    next is scanned, so one point table lives at a time; the row's cells
-    are then arrays in which every bracket carries its cell.  ``_split``
-    bisects the open intervals of all cells together, and each equation is
-    solved once for the whole row, every bracket with the modes of its
-    point and its cell's threshold:
-
-    - r' = 0 for the dips of r;
-    - r = threshold for the edges between feasible and infeasible
-      neighbours, and on both sides of each feasible dip that falls between
-      infeasible samples;
-    - P3' = 0 next to feasible 3-point maxima of P3, and between each edge
-      and the feasible end of its bracket.
-    """
+    point, threshold by threshold: one point table lives at a time, and the
+    nodes of all the row's cells are refined together."""
     c = _cells(params, t_max, thresholds)
-    _split([c])
-
-    def solve(kind, lo, hi, own, start):
-        # every bracket carries the modes of its point and its cell's threshold
-        return _solve(kind, lo, hi, _columns(kind, c)[:, own], start) if lo.size else np.empty((4, 0))
-
-    dips = solve(_DIP, c.dip_lo, c.dip_hi, c.dip_own, c.dip_x0)
-    edge_own, edge_in, edge_out, starts = c.edge_own, c.edges[0], c.edge_out, c.edge_x0
-    # a feasible dip between infeasible samples has an edge on either side
-    narrow = (dips[1] <= c.threshold[c.dip_own]) & (c.dip_r > c.threshold[c.dip_own])
-    if narrow.any():
-        t, own, lo, hi = dips[0, narrow], c.dip_own[narrow], c.dip_lo[narrow], c.dip_hi[narrow]
-        edge_own = np.concatenate((edge_own, own, own))
-        edge_in, edge_out = np.concatenate((edge_in, t, t)), np.concatenate((edge_out, lo, hi))
-        starts = np.concatenate((starts, 0.5 * (t + lo), 0.5 * (t + hi)))
-    edges = solve(_EDGE, edge_in, edge_out, edge_own, starts)
-    max_own, lo, hi, starts = c.peak_own, c.peak_lo, c.peak_hi, c.peak_x0
-    if edge_own.size:
-        # and between each edge and the feasible end of its bracket
-        a, b = np.minimum(edge_in, edges[0]), np.maximum(edge_in, edges[0])
-        max_own = np.concatenate((max_own, edge_own))
-        lo, hi, starts = np.concatenate((lo, a)), np.concatenate((hi, b)), np.concatenate((starts, 0.5 * (a + b)))
-    maxima = solve(_P3MAX, lo, hi, max_own, starts)
-    return _select(c, dips, (edge_own, edges), (max_own, maxima), thresholds, t_max)
+    return _select(c, *_refine(c), thresholds, t_max)
 
 
 def _firsts(own, key):
@@ -651,33 +486,23 @@ def _firsts(own, key):
     return order[own != np.concatenate(([-1], own[:-1]))]
 
 
-def _select(c, dips, edges, maxima, thresholds, t_max):
-    """The result of each cell from its refined points; ``edges`` and
-    ``maxima`` are pairs (owners, point table).
+def _select(c, own, cand, thresholds, t_max):
+    """The result of each cell from its candidates (see ``_refine``).
 
-    A cell's bound on r is the smallest of the minorants left unrefined and
-    of its dips, each at its refined point or its sample, less the error of
-    a computed r: a dip stands for its bracket.  A cell is infeasible when
-    neither a sample nor a refined dip is feasible, and reports the smallest
-    residual seen.  Otherwise it reports the earliest feasible point within
-    P3_TIE_TOL of its largest feasible P3, the first in the order peaks,
-    edge samples, dips, edges, maxima where times tie.  Every cell has a
-    dip, that of its best sample.
+    An infeasible cell, with neither a feasible best sample nor a feasible
+    candidate, reports the smallest residual seen.  A feasible one reports
+    the earliest feasible candidate within P3_TIE_TOL of its largest
+    feasible P3, the first in the order of ``cand`` where times tie.  The
+    bound is the smallest of ``c.bound`` and the r seen, less eps.
     """
     thr = c.threshold
-    # each cell's dip of smallest refined r and its smallest sampled dip
-    at = _firsts(c.dip_own, dips[1])
-    refined, sampled = dips[1, at], c.best[1].copy()
-    np.minimum.at(sampled, c.dip_own, c.dip_r)
-    bound = np.maximum(0.0, np.minimum(np.minimum(c.bound, refined), sampled) - c.eps)
-    feasible = (sampled <= thr) | (refined <= thr)
-    # infeasible: the smallest residual seen
-    rows = np.where(refined < c.best[1], dips[:, at], c.best)
+    rows = c.best.copy()
+    at = _firsts(own, cand[1])
+    at = at[cand[1, at] < rows[1, own[at]]]
+    rows[:, own[at]] = cand[:, at]
+    bound = np.maximum(0.0, np.minimum(c.bound, rows[1]) - c.eps)
+    feasible = rows[1] <= thr
     if feasible.any():
-        # the feasible samples bracketing maxima and edges stay candidates too
-        dip_feas = dips[1] <= thr[c.dip_own]
-        own = np.concatenate((c.peak_own, c.edge_own, c.dip_own[dip_feas], edges[0], maxima[0]))
-        cand = np.concatenate((c.peaks, c.edges, dips[:, dip_feas], edges[1], maxima[1]), axis=1)
         ok = cand[1] <= thr[own]
         own, cand = own[ok], cand[:, ok]
         top = np.full(thr.size, -np.inf)
@@ -688,7 +513,7 @@ def _select(c, dips, edges, maxima, thresholds, t_max):
         rows[:, own[at]] = cand[:, at]
     k = len(thresholds)
     return [
-        _result(c.params[o // k], thresholds[o % k], t_max, f, row, b)
+        OptimizeResult(c.params[o // k], thresholds[o % k], t_max, f, *row, b)
         for o, (f, row, b) in enumerate(zip(feasible.tolist(), rows.T.tolist(), bound.tolist()))
     ]
 
@@ -705,24 +530,14 @@ def find_t0(p, threshold, t_max=DEFAULT_T_MAX):
     return _row([p], [threshold], t_max)[0]
 
 
-def sweep(
-    g_range,
-    gprime_range,
-    steps,
-    threshold_exponents,
-    t_max=DEFAULT_T_MAX,
-    progress=None,
-):
+def sweep(g_range, gprime_range, steps, threshold_exponents, t_max=DEFAULT_T_MAX, progress=None):
     """One SweepGrid per threshold exponent over a (g, g') grid.
 
     ``steps`` is an int (same count per axis) or a pair of ints, and each
-    range a pair (low, high).  Each point is scanned once, and its scan is
-    cut into one cell per threshold, the same cell find_t0 makes, so each
-    result equals find_t0 at its threshold.  The points of a row, up to
-    _ROW_CELLS at a time, are refined together as one set of arrays whose
-    brackets carry their cell (see ``_row``); ``progress(done)`` is called
-    once per point after its row part.  Grids over MAX_CELLS cell results
-    are rejected.
+    range a pair (low, high).  Each result equals find_t0 at its threshold.
+    The points of a row are refined together, up to _ROW_CELLS at a time
+    (see ``_row``), and ``progress(done)`` is called once per point after
+    its row part.  Grids over MAX_CELLS cell results are rejected.
     """
     try:
         steps = tuple(map(operator.index, (steps, steps) if np.ndim(steps) == 0 else steps))
@@ -770,23 +585,12 @@ def sweep(
             if progress is not None:
                 for done in range(len(results[0]) - len(row) + 1, len(results[0]) + 1):
                     progress(done)
-    return [
-        SweepGrid(
-            g_values=g_values,
-            gprime_values=gprime_values,
-            threshold_exponent=int(j),
-            cells=tuple(tuple(cells[i:i + steps[1]]) for i in range(0, len(cells), steps[1])),
-        )
-        for j, cells in zip(exps, results)
-    ]
+    starts = range(0, steps[0] * steps[1], steps[1])
+    return [SweepGrid(g_values, gprime_values, int(j), tuple(tuple(cells[i:i + steps[1]]) for i in starts))
+            for j, cells in zip(exps, results)]
 
 
-def emit_fig4_traces(
-    params_list,
-    t_max=DEFAULT_T_MAX,
-    n_steps=DEFAULT_N_STEPS,
-    threshold=1e-6,
-):
+def emit_fig4_traces(params_list, t_max=DEFAULT_T_MAX, n_steps=DEFAULT_N_STEPS, threshold=1e-6):
     """Traces plus annotated optimal times for a list of parameter points."""
     return [
         Fig4Trace(trace(p, t_max=t_max, n_steps=n_steps), find_t0(p, threshold, t_max=t_max))

@@ -7,8 +7,9 @@ exports REF with ``git archive`` into a temporary directory, computes the
 set once per tree, each in its own Python process that imports that tree's
 ``src/squidcavity``, and compares the raw bytes of ``feasible``, ``t0``,
 ``p1p2``, ``p3``, ``p4`` and ``p1p2_bound`` of every result.  It prints the
-number of results and of differing ones, and the first differences, and
-exits 1 if any result differs.
+number of results and of differing ones, the first differences and a
+summary of how far they moved (see ``summary``), and exits 1 if any result
+differs.
 
 The set: ``find_t0`` at 1e-6, 1e-3 and 1e-1 on the 256 points of the
 benchmark's ``protocol`` population, on 200 ``default_rng(0)`` points of
@@ -76,6 +77,25 @@ def compare(labels, ref, new, limit=10):
     return lines, int(diff.any(axis=1).sum())
 
 
+def summary(ref, new, tie):
+    """Lines saying how far the results moved: the feasibility flips, then,
+    over the results that keep their feasibility, the largest
+    |dt0| / max(1, t0) and |d| of p1p2, p3, p4 and p1p2_bound, and how many
+    p3 rose or fell by more than ``tie``."""
+    flips = ref[:, 0] != new[:, 0]
+    ref, new = ref[~flips], new[~flips]
+    delta = np.abs(new - ref)
+    delta[:, 1] /= np.maximum(1.0, np.abs(ref[:, 1]))
+    largest = delta.max(axis=0, initial=0.0)
+    rise = new[:, 3] - ref[:, 3]
+    return [
+        f"feasibility flips: {int(flips.sum())}",
+        f"max |dt0|/max(1, t0): {largest[1]:.3g}",
+        *(f"max |d{FIELDS[j]}|: {largest[j]:.3g}" for j in range(2, len(FIELDS))),
+        f"p3 rose by more than {tie:g}: {int((rise > tie).sum())}, fell: {int((rise < -tie).sum())}",
+    ]
+
+
 def run(tree, out):
     """Compute the set with ``tree``'s squidcavity in a new process and save
     its labels and rows to ``out`` (an .npz file)."""
@@ -101,7 +121,10 @@ def main(argv):
         ref, new = np.load(tmp / "ref.npz"), np.load(tmp / "new.npz")
         labels, ref, new = new["labels"].tolist(), ref["rows"], new["rows"]
     lines, differing = compare(labels, ref, new)
-    print(f"{len(labels)} results, {differing} differing", *lines, sep="\n")
+    sys.path.insert(0, str(ROOT / "src"))
+    from squidcavity.optimize import P3_TIE_TOL
+
+    print(f"{len(labels)} results, {differing} differing", *lines, *summary(ref, new, P3_TIE_TOL), sep="\n")
     return 1 if differing else 0
 
 

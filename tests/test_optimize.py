@@ -118,26 +118,25 @@ def test_validation():
     assert grids((np.int64(2), np.int32(3))) == grids((2, 3)) == grids(np.array([2, 3]))
 
 
-@pytest.mark.parametrize("hide", [False, True], ids=("scan", "every-second-dip-hidden"))
-def test_sweep_single_cell_matches_find_t0(monkeypatch, hide):
+@pytest.mark.parametrize("coarse", [False, True], ids=("scan", "coarse-scan"))
+def test_sweep_single_cell_matches_find_t0(monkeypatch, coarse):
     exps = [6, 3, 1]
-    if hide:
-        found = []
-        # hide every second 3-point minimum of r from the scan, so that
-        # bisection must find those dips again, at every threshold
-        peaks, split = opt._peaks, opt._split
+    if coarse:
+        split = []
+        bisect = opt._bisect
 
-        def counted_split(cells):
-            before = sum(c.dip_lo.size for c in cells)
-            split(cells)
-            found.append(sum(c.dip_lo.size for c in cells) - before)
+        def counted(c, own, a, b):
+            split.append(own.size)
+            return bisect(c, own, a, b)
 
-        monkeypatch.setattr(opt, "_peaks", lambda x, minima=False: peaks(x, minima)[::2] if minima else peaks(x))
-        monkeypatch.setattr(opt, "_split", counted_split)
+        # 64 times the slack makes the step 8 times coarser, so that many
+        # nodes must be bisected before they are resolved, at every threshold
+        monkeypatch.setattr(opt, "SCAN_SLACK", 64 * opt.SCAN_SLACK)
+        monkeypatch.setattr(opt, "_bisect", counted)
     # rows of 9 cells; (0.6, 1.37) is among them
     grids = sweep((0.3, 0.9), (0.87, 1.87), (3, 9), exps, t_max=200.0)
-    if hide:
-        assert sum(found) > 0
+    if coarse:
+        assert sum(split) > 0
     assert [grid.threshold_exponent for grid in grids] == exps
     fields = ("feasible", "t0", "p1p2", "p3", "p4", "p1p2_bound")
     for grid in grids:
@@ -216,27 +215,89 @@ _BRUTE_POINTS = (
 )
 
 
-@pytest.mark.parametrize("g,gp", _BRUTE_POINTS, ids=lambda v: f"{v:g}")
-def test_find_t0_beats_brute_force_on_a_finer_grid(g, gp, amplitude_rows):
-    p = CouplingParams.symmetric(g, gp)
-    m, e = sector_modes(p)
+def _fine_grid(p, amplitude_rows):
+    """r and P3 on a grid of step 0.0025 / max(1, g, g') over (0, 200]."""
+    g, gp = p.g1, p.g_prime
     step = 0.0025 / max(1.0, g, gp)
     times = np.linspace(0.0, 200.0, int(np.ceil(200.0 / step)) + 1)[1:]
-    p1, p2, p3, _ = amplitude_rows(m, e, times)[0] ** 2
+    p1, p2, p3, _ = amplitude_rows(*sector_modes(p), times)[0] ** 2
+    return p1 + p2, p3
+
+
+def _check_results(p, r, p3):
+    """find_t0 at three thresholds against r and P3 on a fine grid and the
+    propagator."""
     h, d0 = build_h_full(p), dark_state_full(p)
     for threshold in (1e-6, 1e-3, 1e-1):
         res = find_t0(p, threshold)
         # the certificate bounds r from below, also between these samples
         assert res.p1p2_bound <= res.p1p2
-        assert res.p1p2_bound <= np.min(p1 + p2)
-        feasible = p1 + p2 <= threshold
-        if feasible.any():
-            assert res.feasible
-            assert res.p3 >= np.max(p3[feasible]) - 1e-9
+        assert res.p1p2_bound <= np.min(r)
         if res.feasible:
             q1, q2, q3, _ = probabilities(amplitudes(propagator_oracle(h, res.t0) @ d0))
             assert q1 + q2 <= threshold + 1e-12
             assert abs(q3 - res.p3) <= 1e-9
+        yield threshold, res
+
+
+@pytest.mark.parametrize("g,gp", _BRUTE_POINTS, ids=lambda v: f"{v:g}")
+def test_find_t0_beats_brute_force_on_a_finer_grid(monkeypatch, g, gp, amplitude_rows):
+    p = CouplingParams.symmetric(g, gp)
+    dips = []
+    solve = opt._solve
+
+    def recorded(kind, lo, hi, q, start=None):
+        out = solve(kind, lo, hi, q, start)
+        if kind == opt._DIP:
+            dips.append((lo, hi, out[1]))
+        return out
+
+    monkeypatch.setattr(opt, "_solve", recorded)
+    r, p3 = _fine_grid(p, amplitude_rows)
+    for threshold, res in _check_results(p, r, p3):
+        feasible = r <= threshold
+        if feasible.any():
+            assert res.feasible
+            assert res.p3 >= np.max(p3[feasible]) - 1e-9
+    # each Newton minimum is the minimum of r on its node, within eps
+    m, e = sector_modes(p)
+    eps = opt._R_ERROR * (1.0 + e[0] * 200.0)
+    for lo, hi, low in dips:
+        times = np.linspace(lo, hi, 65)
+        p1, p2 = amplitude_rows(m, e, times.ravel())[0][:2] ** 2
+        assert np.all((p1 + p2).reshape(times.shape) >= low - eps)
+
+
+@pytest.mark.parametrize("g,gp", _BRUTE_POINTS, ids=lambda v: f"{v:g}")
+def test_results_stay_valid_without_bisection(monkeypatch, g, gp, amplitude_rows):
+    # with no budget, every node that the scan step leaves unresolved only
+    # enters the bound, at the production step and at an 8 times coarser one
+    monkeypatch.setattr(opt, "SPLIT_BUDGET", 0)
+    p = CouplingParams.symmetric(g, gp)
+    fine = _fine_grid(p, amplitude_rows)
+    for slack in (opt.SCAN_SLACK, 64 * opt.SCAN_SLACK):
+        monkeypatch.setattr(opt, "SCAN_SLACK", slack)
+        assert len(list(_check_results(p, *fine))) == 3
+
+
+# (0.0794, 1.1269) has, at 1e-6, a node where P3 is not yet of one shape
+_COARSE_POINTS = (*PAPER_PAIRS, (1.5, 0.7), (0.07936595438151128, 1.1268861653868985),
+                  *(tuple(pt) for pt in np.random.default_rng(20261021).uniform(0.05, 3.0, (5, 2)).round(6)))
+
+
+def test_a_coarse_scan_finds_the_same_optimum(monkeypatch):
+    # the nodes of an 8 times coarser step hold the same optimum: the same
+    # feasibility, and P3 within the tie band or the same residual
+    keys = [(g, gp, threshold) for g, gp in _COARSE_POINTS for threshold in (1e-6, 1e-3, 1e-1)]
+    ref = [find_t0(CouplingParams.symmetric(g, gp), threshold) for g, gp, threshold in keys]
+    monkeypatch.setattr(opt, "SCAN_SLACK", 64 * opt.SCAN_SLACK)
+    for (g, gp, threshold), a in zip(keys, ref):
+        b = find_t0(CouplingParams.symmetric(g, gp), threshold)
+        assert a.feasible == b.feasible
+        if a.feasible:
+            assert abs(b.p3 - a.p3) <= opt.P3_TIE_TOL
+        else:
+            assert abs(b.p1p2 - a.p1p2) <= 1e-12
 
 
 def _count_kernel_calls(monkeypatch):
@@ -282,7 +343,7 @@ def test_scan_table_is_the_grid_evaluation(g, gp):
 
 
 @pytest.mark.parametrize("threshold", [1e-6, 1e-1])
-@pytest.mark.parametrize("g,gp", [(0.6, 1.37), (2.95, 1.10)])
+@pytest.mark.parametrize("g,gp", [(0.6, 1.37), (2.95, 1.10), (1e-6, 2.0)])
 def test_find_t0_peak_memory_is_bounded_by_the_point_table(g, gp, threshold):
     p = CouplingParams.symmetric(g, gp)
     table = 32 * (opt._scan_setup(p, 200.0)[2] + 1)  # 4 float64 rows of n + 1 samples
@@ -312,16 +373,19 @@ def test_sweep_peak_memory_is_bounded_by_one_point_table():
 
 
 def test_sweep_memory_does_not_grow_with_row_length():
-    peaks = []
+    working = []
     for n in (opt._ROW_CELLS, 4 * opt._ROW_CELLS):
         tracemalloc.start()
         try:
-            sweep((1.0, 1.0), (0.5, 1.0), (1, n), [6, 1], t_max=20.0)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            grids = sweep((1.0, 1.0), (0.5, 1.0), (1, n), [6, 1], t_max=20.0)
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    # only the results grow; every cell's brackets held at once would not fit
-    assert peaks[1] <= 1.5 * peaks[0]
+        # the peak less what the results still hold
+        working.append(peak - held)
+        del grids
+    # one row part at a time; every cell's nodes held at once would not fit
+    assert working[1] <= 1.5 * working[0]
 
 
 # at least 10 cells, with g' = 0 and E1 = E3 among them
@@ -334,132 +398,110 @@ _BATCH_POINTS = (
 )
 
 
-def _edge_pairs(r, threshold):
-    """The feasible and the infeasible sample of each pair of neighbours
-    on either side of ``threshold``."""
-    feas = r <= threshold
-    cut = np.flatnonzero(feas[:-1] != feas[1:])
-    return cut + ~feas[cut], cut + feas[cut]
+def _node_cells(cells, own, lo, hi, **fields):
+    """A copy of ``cells`` in which node k, [lo[k], hi[k]], is the only node
+    of cell k, a copy of cell ``own[k]``, with ``fields`` replaced."""
+    per_cell = {f.name: getattr(cells, f.name)[..., own] for f in dataclasses.fields(cells)
+                if f.name not in ("params", "node_own", "node_lo", "node_hi")}
+    per_cell.update(fields)
+    return dataclasses.replace(cells, **per_cell, node_own=np.arange(own.size), node_lo=lo, node_hi=hi)
 
 
-def _scan_brackets(times, x, idx):
-    """The brackets around samples ``idx`` of x and the Newton starts in
-    them, as a cell holds them."""
-    around = opt._around(idx, times.size - 1)
-    return opt._bracket(idx, times[around], x[around])
+def _by_node(own, cand, k):
+    """The candidates of cell k, the node of ``_node_cells``."""
+    return cand[:, own == k]
 
 
-def _refine(kind, cells, lo, hi, start=None):
-    """The points equation ``kind`` refines in brackets [lo, hi] of the
-    first cell of ``cells``."""
-    if not lo.size:
-        return np.empty((4, 0))
-    return opt._solve(kind, lo, hi, opt._columns(kind, cells)[:, np.zeros(lo.size, dtype=int)], start)
+def _turns(x):
+    """Which scan intervals touch a sample where x turns."""
+    turn = np.zeros(x.size, dtype=bool)
+    turn[1:-1] = np.diff(np.sign(np.diff(x))) != 0
+    return turn[:-1] | turn[1:]
 
 
-def test_bracket_evaluation_is_independent_of_batch_size():
+def test_bracket_evaluation_is_independent_of_batch_size(monkeypatch):
     thresholds = [1e-6, 1e-1]
     params = [CouplingParams.symmetric(g, gp) for g, gp in _BATCH_POINTS]
     cells = opt._cells(params, 200.0, thresholds)
-    modes = [sector_modes(p) for p in params]
-    # every bracket of the scan before pruning, as (cell, lo, hi) per
-    # equation: its 3-point dips of r and maxima of P3, and its pairs of
-    # feasible and infeasible neighbours at each threshold (cell 2 i + j is
-    # threshold j of point i)
-    pools = {opt._DIP: [], opt._EDGE: [], opt._P3MAX: []}
+    # the scan intervals where r or P3 turns or r crosses a threshold, as
+    # (cell, lo, hi); cell 2 i + j is threshold j of point i
+    pool = []
     for i, p in enumerate(params):
         times, r, p3 = opt._scan(p, 200.0)[2][:3]
-        pools[opt._DIP].append((2 * i, *_scan_brackets(times, r, opt._peaks(r, minima=True))[:2]))
-        pools[opt._P3MAX].append((2 * i, *_scan_brackets(times, p3, opt._peaks(p3))[:2]))
         for j, threshold in enumerate(thresholds):
-            inside, outside = _edge_pairs(r, threshold)
-            pools[opt._EDGE].append((2 * i + j, times[inside], times[outside]))
+            at = np.flatnonzero(_turns(r) | _turns(p3) | ((r[:-1] <= threshold) != (r[1:] <= threshold)))
+            pool.append((2 * i + j, times[at], times[at + 1]))
     rng = np.random.default_rng(5)
-    for kind, pool in pools.items():
-        # 1,000 brackets, each from a group drawn uniformly
-        pool = [group for group in pool if group[1].size]
-        picks = [pool[k] for k in rng.integers(len(pool), size=1000)]
-        at = [rng.integers(lo.size) for _, lo, _ in picks]
-        cell = np.array([o for o, _, _ in picks])
-        owner = cell // 2
-        lo, hi = (np.array([g[j][k] for g, k in zip(picks, at)]) for j in (1, 2))
-        assert np.unique(owner).size >= 10
-        q = opt._columns(kind, cells)[:, cell]
-        batch = opt._solve(kind, lo, hi, q)
-        weights = np.stack([_kernels.derivative_weights(*modes[i]) for i in owner], axis=-1)
-        freqs = np.stack([modes[i][1] for i in owner], axis=-1)
-        rows = _kernels.derivative_rows(weights, freqs, lo)
-        for j in range(0, 1000, 25):
-            alone = opt._solve(kind, lo[j:j + 1], hi[j:j + 1], q[:, j:j + 1])
-            assert np.array_equal(alone[:, 0], batch[:, j])
-            e = modes[owner[j]][1]
-            assert np.array_equal(_kernels.derivative_rows(weights[..., j], e, lo[j]), rows[..., j])
+    # 1,000 nodes, each from a group drawn uniformly
+    picks = [pool[k] for k in rng.integers(len(pool), size=1000)]
+    at = [rng.integers(lo.size) for _, lo, _ in picks]
+    own = np.array([o for o, _, _ in picks])
+    lo, hi = (np.array([g[j][k] for g, k in zip(picks, at)]) for j in (1, 2))
+    assert np.unique(own // 2).size >= 10
+    kinds = []
+    solve = opt._solve
+    monkeypatch.setattr(opt, "_solve", lambda kind, *args: kinds.append(kind) or solve(kind, *args))
+    batch = _node_cells(cells, own, lo, hi)
+    found = opt._refine(batch)
+    # every equation is solved among them
+    assert sorted(set(kinds)) == [opt._DIP, opt._EDGE, opt._P3MAX]
+    ends = opt._ends(cells.q[:, own], lo)
+    for k in range(0, 1000, 25):
+        alone = _node_cells(cells, own[k:k + 1], lo[k:k + 1], hi[k:k + 1])
+        assert np.array_equal(_by_node(*opt._refine(alone), 0), _by_node(*found, k))
+        assert alone.bound.tobytes() == batch.bound[k:k + 1].tobytes()
+        assert np.array_equal(opt._ends(cells.q[:, own[k:k + 1]], lo[k:k + 1])[:, 0], ends[:, k])
 
 
 _PRUNED_POINTS = (*PAPER_PAIRS, *np.random.default_rng(20261020).uniform(0.05, 3.0, (20, 2)).round(6))
 
 
-def _left_out(lo, hi, kept_lo, kept_hi):
-    """Which brackets [lo, hi] a cell does not hold."""
-    kept = set(zip(kept_lo.tolist(), kept_hi.tolist()))
-    return np.array([pair not in kept for pair in zip(lo.tolist(), hi.tolist())], dtype=bool)
+# P3 stays below about 2e-9 here, so at 1e-1 the tie band P3_TIE_TOL holds
+# candidates far apart in t and decides t0
+_TIED_POINT = ((1e-4, 0.21),)
 
 
 @pytest.mark.parametrize("threshold", [1e-6, 1e-1])
 def test_pruned_dips_refine_above_threshold_and_best_sample(threshold):
-    pruned = {"curvature": 0, "P3 dips": 0, "P3 peaks": 0, "edges": 0}
-    for g, gp in _PRUNED_POINTS:
+    dropped = {"r": 0, "P3": 0, "tie": 0}
+    # at g = 1e-6 P3 stays below 1e-11, within the tie band everywhere
+    for g, gp in (*_PRUNED_POINTS, *_TIED_POINT, (1e-6, 2.0)):
         p = CouplingParams.symmetric(g, gp)
-        cell = opt._cells([p], 200.0, [threshold])
+        cells = opt._cells([p], 200.0, [threshold])
         res = find_t0(p, threshold)
-        # a candidate left out by the P3 floor lies below the winner's tie band
-        below = res.p3 - opt.P3_TIE_TOL
         times, r, p3 = opt._scan(p, 200.0)[2][:3]
-        idx = opt._peaks(r, minima=True)
-        lo, hi, _ = _scan_brackets(times, r, idx)
-        # every 3-point dip, refined by the same solve without pruning
-        dips = _refine(opt._DIP, cell, lo, hi)
-        out = _left_out(lo, hi, cell.dip_lo, cell.dip_hi)
-        assert out.sum() == lo.size - cell.dip_lo.size
-        # each dip left out is left out by exactly one rule: the curvature
-        # rule, which never drops the first dip of smallest r, or the P3 floor
-        by_curvature = r[idx] - cell.slack[0] > cell.level[0]
-        by_curvature[np.argmin(r[idx])] = False
-        assert not np.any(by_curvature & ~out)
-        by_p3 = out & ~by_curvature
-        assert np.all(dips[1, by_curvature] > max(threshold, r.min()))
-        assert np.all(dips[2, by_p3] < below)
-        pruned["curvature"] += by_curvature.sum()
-        pruned["P3 dips"] += by_p3.sum()
+        h = 200.0 / (times.size - 1)
+        kept = np.isin(times[:-1], cells.node_lo)
+        assert kept.sum() == cells.node_lo.size
+        # each interval left out is left out by one rule: its minorant of r
+        # clears the level, its P3 samples lie below the floor, or it follows
+        # a sample tied with the winner
+        by_r = np.minimum(r[:-1], r[1:]) - cells.bounds[0, 0] * h * h / 8.0 > cells.level[0]
+        by_p3 = ~kept & ~by_r & (np.maximum(p3[:-1], p3[1:]) < cells.floor[0])
+        by_tie = ~kept & ~by_r & ~by_p3
+        assert not np.any(kept & by_r)
+        for rule, out in zip(dropped, (by_r, by_p3, by_tie)):
+            dropped[rule] += out.sum()
+        # every interval left out, refined anyway as a node, with no half
+        # dropped: above the threshold and the best sample, below the tie
+        # band of the largest feasible P3, or after the winner and either
+        # below that largest P3 or, where no P3 reaches P3_TIE_TOL, tied
+        own, cand = opt._refine(cells)
+        top = np.max(cand[2], where=cand[1] <= threshold, initial=-np.inf)
+        at = np.flatnonzero(~kept)
+        anyway = _node_cells(cells, np.zeros(at.size, dtype=int), times[at], times[at + 1],
+                             level=np.full(at.size, np.inf), floor=np.full(at.size, -np.inf))
+        own, cand = opt._refine(anyway)
+        assert np.all(cand[1, by_r[at][own]] > max(threshold, r.min()))
+        assert np.all(cand[2, by_p3[at][own]] < top - opt.P3_TIE_TOL)
+        tie = cand[:, by_tie[at][own]]
+        assert np.all(tie[0] >= res.t0)
+        assert np.all(tie[2] < top) or np.max(tie[2], initial=top) <= opt.P3_TIE_TOL
         if not res.feasible:
-            assert not by_p3.any()
-            continue
-        # every feasible 3-point maximum of P3 and edge pair, and the points
-        # the row would refine in them
-        peak = opt._peaks(p3)
-        peak = peak[r[peak] <= threshold]
-        lo, hi, x0 = _scan_brackets(times, p3, peak)
-        maxima = _refine(opt._P3MAX, cell, lo, hi, x0)
-        out = _left_out(lo, hi, cell.peak_lo, cell.peak_hi)
-        assert out.sum() == lo.size - cell.peak_lo.size
-        assert np.all(p3[peak[out]] < below) and np.all(maxima[2, out] < below)
-        pruned["P3 peaks"] += out.sum()
-        inside, outside = _edge_pairs(r, threshold)
-        x0 = opt._secant(times[inside], r[inside], times[outside], r[outside], threshold)
-        edges = _refine(opt._EDGE, cell, times[inside], times[outside], x0)
-        maxima = _refine(opt._P3MAX, cell, np.minimum(times[inside], edges[0]), np.maximum(times[inside], edges[0]))
-        out = _left_out(times[inside], times[outside], cell.edges[0], cell.edge_out)
-        assert out.sum() == inside.size - cell.edge_out.size
-        assert np.all(p3[inside[out]] < below) and np.all(edges[2, out] < below) and np.all(maxima[2, out] < below)
-        pruned["edges"] += out.sum()
-    assert pruned["curvature"] > 0
+            assert not (by_p3 | by_tie).any()
+    assert dropped["r"] > 0
     if threshold == 1e-1:
-        assert min(pruned.values()) > 0
-
-
-# P3 stays below about 2e-9 here, so at 1e-1 the tie band P3_TIE_TOL holds
-# candidates far apart in t and decides t0
-_TIED_POINT = ((1e-4, 0.21),)
+        assert min(dropped.values()) > 0
 
 
 def test_p3_pruning_changes_no_result(monkeypatch):
@@ -511,6 +553,11 @@ def test_known_red_pair_is_proven_infeasible():
     res = find_t0(CouplingParams.symmetric(2.95, 1.1), 1e-6, t_max=200.0)
     assert not res.feasible
     assert 4e-2 <= res.p1p2_bound <= res.p1p2
+    # the torus has a zero here, but t (E1, E3) first comes close enough to
+    # it after t = 296
+    res = find_t0(CouplingParams.symmetric(0.25, 1.89), 1e-6, t_max=200.0)
+    assert not res.feasible
+    assert 1e-6 < res.p1p2_bound <= res.p1p2
 
 
 @pytest.mark.parametrize("g,gp", [(0.0, 1.3), (1.0, 0.0), (0.5, 0.0), (0.0, 1.0), (0.0, 0.0)],
@@ -559,62 +606,103 @@ def test_grid_corner_has_the_longest_scan(g_range, gp_range, steps):
 
 
 def test_bisection_finds_a_dip_the_scan_misses(monkeypatch):
-    # hide the feasible dip near t = 16.1 from the scan: bisecting the open
-    # intervals around it must find it again, with the same result
+    # with an 8 times coarser step the node holding the feasible dip near
+    # t = 16.1 is bisected before it is resolved; the result is the
+    # production one within the Newton tolerance
     p = CouplingParams.symmetric(0.6, 1.37)
     ref = find_t0(p, 1e-6)
-    times = opt._scan(p, 200.0)[2][0]
-    real = opt._peaks
+    split = []
+    bisect = opt._bisect
 
-    def hidden(x, minima=False):
-        idx = real(x, minima)
-        return idx[np.abs(times[idx] - 16.1) > 0.1] if minima else idx
+    def recorded(c, own, a, b):
+        split.append((a[0], b[0]))
+        return bisect(c, own, a, b)
 
-    monkeypatch.setattr(opt, "_peaks", hidden)
-    cell = opt._cells([p], 200.0, [1e-6])
-    scanned = cell.dip_lo.size
-    opt._split([cell])
-    assert cell.dip_lo.size > scanned
-    assert np.all(np.abs(cell.dip_lo[scanned:] - 16.1) < 0.2)
-    assert dataclasses.astuple(find_t0(p, 1e-6)) == dataclasses.astuple(ref)
+    monkeypatch.setattr(opt, "SCAN_SLACK", 64 * opt.SCAN_SLACK)
+    monkeypatch.setattr(opt, "_bisect", recorded)
+    res = find_t0(p, 1e-6)
+    assert any(np.any((lo < 16.1) & (16.1 < hi)) for lo, hi in split)
+    assert res.feasible
+    assert abs(res.t0 - ref.t0) <= 4 * opt._X_TOL * ref.t0
+    assert max(abs(res.p1p2 - ref.p1p2), abs(res.p3 - ref.p3), abs(res.p4 - ref.p4)) <= 1e-12
 
 
-def test_a_feasible_midpoint_brackets_the_edges_on_both_sides(amplitude_rows):
+def test_a_feasible_midpoint_brackets_the_edges_on_both_sides(monkeypatch, amplitude_rows):
     p = CouplingParams.symmetric(0.6, 1.37)
-    cell = opt._cells([p], 200.0, [1e-6])
-    near = np.abs(cell.dip_lo - 16.1) < 0.1
-    dip = _refine(opt._DIP, cell, cell.dip_lo[near], cell.dip_hi[near])
-    t = dip[0, np.argmin(dip[1])]
-    # one open interval centred on the feasible minimum, both ends infeasible
+    cells = opt._cells([p], 200.0, [1e-6])
+    t = opt._solve(opt._DIP, np.array([16.0]), np.array([16.2]), cells.q[:, [0]])[0, 0]
+    # one node centred on the feasible minimum, both ends infeasible
     ends = np.array([t - 0.01, t + 0.01])
     p1, p2 = amplitude_rows(*sector_modes(p), ends)[0][:2] ** 2
     assert np.all(p1 + p2 > 1e-6)
-    cell.open, cell.open_own = np.concatenate((ends, p1 + p2))[:, None], np.zeros(1, dtype=int)
-    before, dips = cell.edge_out.size, cell.dip_lo.size
-    opt._split([cell])
-    assert cell.dip_lo[dips:].tolist() == [ends[0]] and cell.dip_hi[dips:].tolist() == [ends[1]]
-    inside, outside = cell.edges, cell.edge_out
-    assert outside[before:].tolist() == ends.tolist()
-    assert np.all(inside[1, before:] <= 1e-6)
-    starts = cell.edge_x0[before:]
-    assert ends[0] < starts[0] < inside[0, before] < starts[1] < ends[1]
-    edges = _refine(opt._EDGE, cell, inside[0, before:], outside[before:], starts)
-    assert np.all(edges[1] <= 1e-6) and edges[0, 0] < t < edges[0, 1]
+    solved = []
+    solve = opt._solve
+
+    def recorded(kind, lo, hi, q, start=None):
+        out = solve(kind, lo, hi, q, start)
+        solved.append((kind, lo, hi, out))
+        return out
+
+    monkeypatch.setattr(opt, "_solve", recorded)
+    node = _node_cells(cells, np.zeros(1, dtype=int), ends[:1], ends[1:])
+    own, cand = opt._refine(node)
+    (kind, lo, hi, dip), (_, inside, outside, edges) = solved[:2]
+    # the node is resolved as it is: its dip, then an edge on each side
+    assert kind == opt._DIP and lo.tolist() == [ends[0]] and hi.tolist() == [ends[1]]
+    assert dip[1, 0] <= 1e-6 and abs(dip[0, 0] - t) <= 1e-9
+    assert inside.tolist() == [dip[0, 0]] * 2 and outside.tolist() == ends.tolist()
+    assert np.all(edges[1] <= 1e-6) and ends[0] < edges[0, 0] < t < edges[0, 1] < ends[1]
+    assert np.all(np.isin(edges[0], cand[0]))
 
 
-def test_flat_series_keep_one_bracket_per_plateau():
+def test_an_infeasible_bump_between_feasible_ends_is_split(monkeypatch, amplitude_rows):
+    # r is concave around its local maximum near t = 10; a threshold just
+    # below that maximum leaves a node with feasible ends around an
+    # infeasible bump, which no end sign reveals
+    p = CouplingParams.symmetric(0.6, 1.37)
+    times = np.linspace(9.0, 11.0, 20_001)
+    p1, p2 = amplitude_rows(*sector_modes(p), times)[0][:2] ** 2
+    k = np.argmax(p1 + p2)
+    assert 0 < k < times.size - 1
+    t, threshold = times[k], (p1 + p2)[k] - 1e-4
+    ends = np.array([t - 0.05, t + 0.05])
+    p1, p2 = amplitude_rows(*sector_modes(p), ends)[0][:2] ** 2
+    assert np.all(p1 + p2 <= threshold)
+    edges = []
+    solve = opt._solve
+
+    def recorded(kind, lo, hi, q, start=None):
+        out = solve(kind, lo, hi, q, start)
+        if kind == opt._EDGE:
+            edges.append(out)
+        return out
+
+    monkeypatch.setattr(opt, "_solve", recorded)
+    # with no P3 floor, which would drop the halves here
+    cells = opt._cells([p], 200.0, [threshold])
+    opt._refine(_node_cells(cells, np.zeros(1, dtype=int), ends[:1], ends[1:], floor=np.full(1, -np.inf)))
+    edges = np.concatenate(edges, axis=1)
+    assert np.all(edges[1] <= threshold)
+    assert np.sum(edges[0] < t) == np.sum(edges[0] > t) == 1
+
+
+def test_flat_series_keep_one_bracket_per_plateau(monkeypatch):
     thresholds = [1e-6, 1e-1]
-    # g' = 0: r is constant up to rounding; at g = 0.5 it has one value
-    cells = opt._cells([CouplingParams.symmetric(0.5, 0.0)], 200.0, thresholds)
-    assert np.bincount(cells.dip_own, minlength=2).tolist() == [1, 1]
-    # g = 0: P3 is flat at 0 from t = 0 on, where r = 1 is infeasible
-    cells = opt._cells([CouplingParams.symmetric(0.0, 1.0)], 200.0, thresholds)
-    assert cells.peak_lo.size == 0
-    # at g = 1 r wobbles by about 3e-16 around 1/3; both thresholds together
-    # keep at most 1 % of the samples as dips
-    p = CouplingParams.symmetric(1.0, 0.0)
-    n = opt._scan_setup(p, 200.0)[2] + 1
-    assert opt._cells([p], 200.0, thresholds).dip_lo.size <= 0.01 * n
+    # g' = 0: r is constant up to rounding (at g = 1 it wobbles by about
+    # 3e-16 around 1/3); both thresholds together keep at most 1 % of the
+    # samples as nodes
+    for g in (0.5, 1.0):
+        p = CouplingParams.symmetric(g, 0.0)
+        n = opt._scan_setup(p, 200.0)[2] + 1
+        assert opt._cells([p], 200.0, thresholds).node_own.size <= 0.01 * n
+    # g = 0: P3 is flat at 0, so it is convex everywhere and no maximum of P3
+    # is solved
+    kinds = []
+    solve = opt._solve
+    monkeypatch.setattr(opt, "_solve", lambda kind, *args: kinds.append(kind) or solve(kind, *args))
+    for threshold in thresholds:
+        assert find_t0(CouplingParams.symmetric(0.0, 1.0), threshold).feasible
+    assert opt._EDGE in kinds and opt._P3MAX not in kinds
 
 
 def test_oversized_scans_are_rejected_before_allocation(forbid_large_grids):
