@@ -19,18 +19,20 @@ def derivative_weights(m, e):
     """Two-term weights of the amplitudes and their first two derivatives.
 
     ``m`` holds the mode weights (see the module docstring), so every
-    derivative is a two-term series too.  The result has shape (2, 6, 2):
-    slice 0 multiplies [cos E1 t, cos E3 t], slice 1 [sin E1 t, sin E3 t],
-    and their rows are
+    derivative is a two-term series too; the modes of several points may
+    stack on leading axes of ``m`` and ``e``.  The result has shape
+    (..., 2, 6, 2): slice 0 multiplies [cos E1 t, cos E3 t], slice 1
+    [sin E1 t, sin E3 t], and their rows are
 
         0, 1:  a1, a3       and  a2, a4
         2, 3:  a2', a4'     and  a1', a3'
         4, 5:  a1'', a3''   and  a2'', a4''
     """
-    d = np.empty((2, 6, 2))
-    d[:, :2] = m
-    d[0, 2:4], d[1, 2:4] = m[1] * e, m[0] * -e
-    d[:, 4:] = m * (-e * e)
+    d = np.empty(m.shape[:-3] + (2, 6, 2))
+    e = e[..., None, :]
+    d[..., :2, :] = m
+    d[..., 0, 2:4, :], d[..., 1, 2:4, :] = m[..., 1, :, :] * e, m[..., 0, :, :] * -e
+    d[..., 4:, :] = m * (-e * e)[..., None, :, :]
     return d
 
 

@@ -70,22 +70,30 @@ class EvolutionTrace:
         return self.probs[:, 2]
 
 
+def part_modes(params):
+    """``sector_modes`` of the points ``params``, stacked on the first axis:
+    ``m`` of shape (P, 2, 2, 2) and ``e`` of shape (P, 2).  One SVD and one
+    projection call serve all the points, with the bits of each alone."""
+    b = np.array([[[SQRT2 * p.g, p.g_prime], [p.omega1, 0.0]] for p in params])
+    u, e, vt = np.linalg.svd(b)
+    x = (_F_VECTORS[[0, 2]] @ np.array([dark_state_full(p) for p in params])[..., None]).real
+    c = (u.transpose(0, 2, 1) @ x).transpose(0, 2, 1)
+    m = np.empty((len(params), 2, 2, 2))
+    np.multiply(u, c, out=m[:, 0])
+    np.multiply(vt.transpose(0, 2, 1), c, out=m[:, 1])
+    return m, e
+
+
 def sector_modes(p):
     """Mode weights and frequencies of the dark state's symmetric-sector dynamics.
 
     Returns ``(m, e)``: ``e = (E1, E3)``, the singular values of the
     coupling block B, and real weights ``m`` of shape (2, 2, 2), columns E1,
     E3: [a1, a3] = m[0] @ cos(e t) and [a2, a4] = m[1] @ sin(e t), with
-    F1 = a1, F2 = -i a2, F3 = a3, F4 = -i a4.
+    F1 = a1, F2 = -i a2, F3 = a3, F4 = -i a4.  A one-point ``part_modes``.
     """
-    b = np.array([[SQRT2 * p.g, p.g_prime], [p.omega1, 0.0]])
-    u, e, vt = np.linalg.svd(b)
-    x = (_F_VECTORS[[0, 2]] @ dark_state_full(p)).real
-    c = u.T @ x
-    m = np.empty((2, 2, 2))
-    np.multiply(u, c, out=m[0])
-    np.multiply(vt.T, c, out=m[1])
-    return m, e
+    m, e = part_modes([p])
+    return m[0], e[0]
 
 
 def _check_t_max(t_max):

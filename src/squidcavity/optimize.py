@@ -10,7 +10,8 @@ still matter become nodes.  The derivatives at a node's ends prove r and
 P3 monotone or of one curvature sign there, and with it one root of each
 equation the node holds (r' = 0, r = threshold, P3' = 0) for a safeguarded
 Newton solve, or the node is bisected within a budget per cell.  A sweep
-row's cells are arrays whose nodes carry their cell.  Every result carries
+runs over its grid in parts of points set up together, and a part's cells
+are arrays whose nodes carry their cell.  Every result carries
 a proven lower bound on min r over (0, t_max].
 """
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .dynamics import DEFAULT_N_STEPS, DEFAULT_T_MAX, MAX_SAMPLES, sector_modes, trace
+from .dynamics import DEFAULT_N_STEPS, DEFAULT_T_MAX, MAX_SAMPLES, part_modes, trace
 from .dynamics import _check_phase, _check_t_max
 from .model import MAX_COUPLING, CouplingParams
 
@@ -42,7 +43,9 @@ _R_ERROR = 16.0 * 2.0**-52
 _DIP, _EDGE, _P3MAX = 0, 1, 2
 # Most sweep results (points x threshold exponents) held in memory
 MAX_CELLS = 2**16
-# Most points of a row refined together, which bounds the nodes held
+# Most points of a sweep part, which the flattened grid is cut into: a
+# part's points are set up and refined together, and the cap bounds the
+# nodes held
 _ROW_CELLS = 64
 
 
@@ -118,22 +121,32 @@ def _step_curvature(p):
     return 4.0 * (p.omega1 * p.omega1 + 2.0 * p.g1 * p.g1 + p.g_prime * p.g_prime)
 
 
+def _setup(params, t_max):
+    """The set-up of the points ``params``: modes ``m`` and ``e`` (see
+    ``part_modes``) and ``derivative_weights`` ``d``, stacked on the first
+    axis, scan lengths ``n`` (n intervals of h = t_max / n <=
+    sqrt(8 SCAN_SLACK / L), at least one) and the (4, P)
+    ``_derivative_bounds``.  Rejects a phase E1*t_max that double precision
+    cannot resolve and a scan longer than MAX_SAMPLES."""
+    m, e = part_modes(params)
+    _check_phase(e.max(axis=0), t_max)
+    curvature = [_step_curvature(p) for p in params]
+    n = [max(1, math.ceil(t_max * math.sqrt(c / (8.0 * SCAN_SLACK)))) for c in curvature]
+    if max(n) > MAX_SAMPLES:
+        raise ValueError(f"the scan needs {max(n)} samples, more than {MAX_SAMPLES}: lower t_max")
+    d = _kernels.derivative_weights(m, e)
+    return m, e, n, d, _derivative_bounds(d, e, curvature)
+
+
 def _scan_setup(p, t_max):
-    """Modes and scan length for one point: n intervals of h = t_max / n <=
-    sqrt(8 SCAN_SLACK / L), at least one.  Rejects a phase E1*t_max that
-    double precision cannot resolve and a scan longer than MAX_SAMPLES."""
-    m, e = sector_modes(p)
-    _check_phase(e, t_max)
-    n = max(1, math.ceil(t_max * math.sqrt(_step_curvature(p) / (8.0 * SCAN_SLACK))))
-    if n > MAX_SAMPLES:
-        raise ValueError(f"the scan needs {n} samples, more than {MAX_SAMPLES}: lower t_max")
-    return m, e, n
+    """Modes and scan length of one point: a one-point ``_setup``."""
+    m, e, n = _setup([p], t_max)[:3]
+    return m[0], e[0], n[0]
 
 
-def _scan(p, t_max):
-    """Deterministic scan over [_T_FLOOR, t_max]: the modes ``m``, ``e`` and
-    a point table ``pts`` with rows t, r = P1 + P2, P3, P4."""
-    m, e, n = _scan_setup(p, t_max)
+def _scan(m, e, n, t_max):
+    """Deterministic scan of n intervals over [_T_FLOOR, t_max] with modes
+    ``m``, ``e``: a point table with rows t, r = P1 + P2, P3, P4."""
     # rows P1..P4 become t, r, P3, P4 in place; the times are those of
     # np.linspace(0, t_max, n + 1), computed as it computes them
     pts = _kernels.grid_probs(m, e, t_max, n + 1)
@@ -141,12 +154,15 @@ def _scan(p, t_max):
     np.multiply(np.arange(n + 1.0), t_max / n, out=pts[0])
     pts[0, n] = t_max
     pts[0, 0] = min(_T_FLOOR, pts[0, 1])
-    return m, e, pts
+    return pts
 
 
 def _derivative_bounds(d, e, curvature):
-    """Bounds (L, M, L3, M3) on |r''|, |r'''|, |P3''|, |P3'''| at every t from
-    a point's ``derivative_weights`` ``d``, frequencies ``e`` and curvature.
+    """Bounds (L, M, L3, M3) on |r''|, |r'''|, |P3''|, |P3'''| at every t, the
+    rows of a (4, P) array, from the ``derivative_weights`` ``d`` and
+    frequencies ``e`` of P points stacked on the first axis and their
+    curvatures.  The weight sums are stacked; the few products of each
+    point's sums are cheaper as Python floats.
 
     r'' = 2 (a1'^2 + a1 a1'' + a2'^2 + a2 a2''), r''' = 2 (3 (a1' a1'' +
     a2' a2'') + a1 a1''' + a2 a2'''), and P3 = a3^2 likewise, where a row's
@@ -154,16 +170,22 @@ def _derivative_bounds(d, e, curvature):
     vector with frequencies up to E1, so the second-order bounds are also at
     most 4 E1^2 <= ``curvature`` and the third-order ones at most 8 E1^3.
     """
-    c, s = np.abs(d).sum(axis=2).tolist()
+
+    def bounds(cs, cs3, e1, curvature):
+        (c, s), (c3, s3) = cs, cs3
+        # Python's float ** is C pow; numpy's cube differs from it in the last bit
+        cube = 8.0 * e1 ** 3
+        return (
+            min(curvature, 2.0 * (s[2] * s[2] + c[0] * c[4] + c[2] * c[2] + s[0] * s[4])),
+            min(cube, 2.0 * (3.0 * (s[2] * c[4] + c[2] * s[4]) + c[0] * c3[0] + s[0] * s3[0])),
+            min(curvature, 2.0 * (s[3] * s[3] + c[1] * c[5])),
+            min(cube, 2.0 * (3.0 * s[3] * c[5] + c[1] * c3[1])),
+        )
+
     # the sums of the third derivatives: of a1, a3 and of a2, a4
-    c3, s3 = (np.abs(d[:, 4:]) * e).sum(axis=2).tolist()
-    cube = 8.0 * float(e[0]) ** 3
-    return (
-        min(curvature, 2.0 * (s[2] * s[2] + c[0] * c[4] + c[2] * c[2] + s[0] * s[4])),
-        min(cube, 2.0 * (3.0 * (s[2] * c[4] + c[2] * s[4]) + c[0] * c3[0] + s[0] * s3[0])),
-        min(curvature, 2.0 * (s[3] * s[3] + c[1] * c[5])),
-        min(cube, 2.0 * (3.0 * s[3] * c[5] + c[1] * c3[1])),
-    )
+    third = (np.abs(d[:, :, 4:]) * e[:, None, None]).sum(axis=-1)
+    return np.array([bounds(*x) for x in zip(np.abs(d).sum(axis=-1).tolist(), third.tolist(), e[:, 0].tolist(),
+                                             curvature)]).T
 
 
 def _p3_floor(p3, curvature3, h, eps):
@@ -180,18 +202,37 @@ def _p3_floor(p3, curvature3, h, eps):
     return p3 - P3_TIE_TOL - curvature3 * h * h / 8.0 - 3.0 * eps
 
 
+def _p3_flat(w, e, t_max, eps):
+    """Whether every P3 of a point over (0, t_max] lies within P3_TIE_TOL of
+    every other, so that all its feasible candidates tie, from a3's weights
+    ``w`` and the frequencies ``e`` and the error eps of a computed P3.
+
+    With a3 = w1 cos E1 t + w3 cos E3 t (``m[0, 1]``) and w_j the weight
+    smaller in size, a3 = (w1 + w3) cos E_k t + w_j (cos E_j t - cos E_k t),
+    and |cos x - cos y| <= |x - y|, so |a3| <= |w1 + w3| + |w_j| (E1 - E3)
+    t_max, and also |a3| <= |w1| + |w3|: the first bound is the tight one
+    where the weights cancel and E1 ~ E3.  A computed P3 lies in [0, cap +
+    eps], and one more eps covers the rounding of cap.
+    """
+    (w1, w3), (e1, e3) = w, e
+    beat = abs(w1 + w3) + min(abs(w1), abs(w3)) * (e1 - e3) * t_max
+    return min(abs(w1) + abs(w3), beat) ** 2 + 2.0 * eps <= P3_TIE_TOL
+
+
 @dataclass
 class _Cells:
-    """What refinement and selection read of a row's scans, as arrays over
+    """What refinement and selection read of a part's scans, as arrays over
     the cells: cell o = i K + j is threshold j of point i, for K thresholds,
-    and node k, [``node_lo``, ``node_hi``], belongs to cell ``node_own[k]``.
+    and node k, with end tables ``node_a[:, k]`` and ``node_b[:, k]`` (rows
+    of ``_ends``), belongs to cell ``node_own[k]``.
     Per cell (the last axis): ``q`` holds its point's ``derivative_weights``
     and frequencies and its threshold (see ``_solve``), ``bounds`` the
     ``_derivative_bounds``, ``best`` the point's sample of smallest r,
     ``eps`` the error of a computed r, ``level`` the threshold plus eps, or
     ``best`` less eps where that is larger, and ``floor`` the P3 floor (-inf
-    without a feasible sample).  ``bound`` bounds r from below outside the
-    nodes, and ``budget`` counts the midpoints bisection may evaluate.
+    without a feasible sample).  ``flat`` says whether all its feasible P3
+    tie (see ``_p3_flat``), ``bound`` bounds r from below outside the nodes,
+    and ``budget`` counts the midpoints bisection may evaluate.
     """
 
     params: list
@@ -202,32 +243,30 @@ class _Cells:
     eps: np.ndarray
     level: np.ndarray
     floor: np.ndarray
+    flat: np.ndarray
     bound: np.ndarray
     budget: np.ndarray
     node_own: np.ndarray
-    node_lo: np.ndarray
-    node_hi: np.ndarray
+    node_a: np.ndarray
+    node_b: np.ndarray
 
 
-def _cut(p, t_max, thr):
-    """Scan one point and cut its table down to the nodes of its cells at
-    thresholds ``thr`` (each pass for all of them) before it is dropped.
+def _cut(pts, q, thr, h, slack, lip3, eps):
+    """Cut one point's scan table ``pts`` (step ``h``, slack of r ``slack``,
+    bound ``lip3`` on |P3''|, error of a computed r ``eps``) down to the
+    nodes of its cells at thresholds ``thr``, each pass for all of them,
+    before it is dropped, and evaluate the nodes' ends with the point's
+    modes ``q`` (see ``_solve``), broadcast.
 
     An interval is a node when its minorant of r, the smaller sample less
     the slack, is at most the level and, where a sample is feasible, its
     larger P3 sample reaches the P3 floor of the largest feasible P3.  Any
     other interval holds no feasible time or residual below the level, or
     nothing that can win or tie; its minorant is at least best - slack, so
-    the cell's bound holds it.  The nodes come as threshold index and ends.
+    the cell's bound holds it.  The nodes come as threshold index and end
+    tables.
     """
-    m, e, pts = _scan(p, t_max)
     times, r, p3 = pts[0], pts[1], pts[2]
-    n = times.size - 1
-    d = _kernels.derivative_weights(m, e)
-    h = t_max / n
-    bounds = _derivative_bounds(d, e, _step_curvature(p))
-    slack = bounds[0] * h * h / 8.0
-    eps = _R_ERROR * (1.0 + float(e[0]) * t_max)
     # the first sample of smallest r
     best = pts[:, r.argmin()].copy()
     # row j of a 2-d array belongs to threshold j
@@ -238,9 +277,9 @@ def _cut(p, t_max, thr):
     if feasible.size:
         high = np.maximum(p3[:-1], p3[1:])
         top = np.array([p3[r <= thr[j]].max() for j in feasible])
-        floor[feasible] = _p3_floor(top, bounds[2], h, eps)
+        floor[feasible] = _p3_floor(top, lip3, h, eps)
         keep[feasible] &= high >= floor[feasible, None]
-        slack3 = bounds[2] * h * h / 8.0
+        slack3 = lip3 * h * h / 8.0
         # where P3 moves less than P3_TIE_TOL between samples, cap bounds every
         # candidate's P3, and a feasible sample within P3_TIE_TOL of it (less
         # rounding) is tied with the winner; after it an interval matters only
@@ -251,30 +290,43 @@ def _cut(p, t_max, thr):
             if tied.size:
                 after = max(tied[0], 1)
                 keep[j, after:] &= high[after:] >= (floor[j] + P3_TIE_TOL if cap > P3_TIE_TOL else np.inf)
-    own, at = keep.nonzero()
-    return d, e, n, slack, eps, best, bounds, level, floor, (own, times[at], times[at + 1])
+    own, at = np.divmod(np.flatnonzero(keep), times.size - 1)
+    ends = _ends(q, np.stack((times[at], times[at + 1])))
+    return best, level, floor, (own, ends[:, 0], ends[:, 1])
 
 
 def _cells(params, t_max, thresholds):
-    """Scan and cut the points in turn (see ``_cut``), one table at a time,
-    and join what their cells read into one ``_Cells`` for the row."""
+    """Set the points up together (see ``_setup``), scan and cut them in turn
+    (see ``_cut``), one table at a time, and join what their cells read into
+    one ``_Cells`` for the part."""
     thr = np.array(thresholds, dtype=float)
     k = thr.size
-    d, e, n, slack, eps, best, bounds, level, floor, nodes = zip(*(_cut(p, t_max, thr) for p in params))
+    m, e, n, d, bounds = _setup(params, t_max)
+    # per point, as Python floats: the step, the slack of r and the error of a computed r
+    h = [t_max / count for count in n]
+    slack = [lip * x * x / 8.0 for lip, x in zip(bounds[0].tolist(), h)]
+    eps = [_R_ERROR * (1.0 + x * t_max) for x in e[:, 0].tolist()]
+    # per point, the rows of q that _ends reads
+    q = np.concatenate((d.reshape(len(params), 24), e), axis=1)
+    best, level, floor, nodes = zip(*(
+        _cut(_scan(m[i], e[i], n[i], t_max), q[i, :, None, None], thr, *x)
+        for i, x in enumerate(zip(h, slack, bounds[2].tolist(), eps))
+    ))
+    flat = [_p3_flat(w, f, t_max, x) for w, f, x in zip(m[:, 0, 1].tolist(), e.tolist(), eps)]
 
     def cells(x):
-        """Per-point rows of x as columns, one for each cell."""
-        return np.repeat(np.array(x).T, k, axis=-1)
+        """Per-point columns of x (an array or a list), one for each cell."""
+        return np.repeat(x, k, axis=-1)
 
-    threshold, best, level = np.tile(thr, len(params)), cells(best), np.concatenate(level)
-    own, lo, hi = zip(*nodes)
+    threshold, best, level = np.tile(thr, len(params)), cells(np.transpose(best)), np.concatenate(level)
+    own, a, b = zip(*nodes)
     return _Cells(
-        list(params), threshold, np.concatenate((cells(np.reshape(d, (len(params), -1))), cells(e), threshold[None])),
-        cells(bounds), best, cells(eps), level, np.concatenate(floor),
+        list(params), threshold, np.concatenate((cells(q.T), threshold[None])),
+        cells(bounds), best, cells(eps), level, np.concatenate(floor), cells(flat),
         # every minorant is at least best - slack; where no sample is
         # feasible, that of an interval left out is above the level
         np.where(best[1] <= threshold, best[1] - cells(slack), level), SPLIT_BUDGET * cells(n),
-        np.concatenate([j + i * k for i, j in enumerate(own)]), np.concatenate(lo), np.concatenate(hi),
+        np.concatenate([j + i * k for i, j in enumerate(own)]), np.concatenate(a, axis=1), np.concatenate(b, axis=1),
     )
 
 
@@ -304,10 +356,11 @@ def _classify(c, own, a, b):
     and one maximum of P3.  A node is resolved when r is proven monotone,
     convex, concave with an infeasible end, or feasible throughout by its
     majorant, and, where its minorant reaches the threshold (plus eps), P3
-    is proven monotone or of one curvature sign: with |f''| <= L, |f'''| <= M
-    and w = b - a, 2 f'(t) >= f'(a) + f'(b) - L w and 2 f''(t) >= f''(a) +
-    f''(b) - M w on [a, b].  The bound is the smaller end where r's shape is
-    proven (a resolved dip is refined), the minorant elsewhere."""
+    is proven monotone or of one curvature sign, or all the cell's feasible
+    P3 tie (``c.flat``): with |f''| <= L, |f'''| <= M and w = b - a,
+    2 f'(t) >= f'(a) + f'(b) - L w and 2 f''(t) >= f''(a) + f''(b) - M w on
+    [a, b].  The bound is the smaller end where r's shape is proven (a
+    resolved dip is refined), the minorant elsewhere."""
     thr = c.threshold[own]
     lip, cub, lip3, cub3 = c.bounds[:, own]
     w = b[0] - a[0]
@@ -326,7 +379,7 @@ def _classify(c, own, a, b):
     resolved |= np.maximum(a[1], b[1]) + slack <= thr
     mono3, convex3, concave3 = shape(6, lip3, cub3)
     reach = low - slack <= thr + c.eps[own]
-    resolved &= mono3 | convex3 | concave3 | ~reach
+    resolved &= mono3 | convex3 | concave3 | ~reach | c.flat[own]
     dip = convex & (a[4] <= 0.0) & (b[4] > 0.0)
     low = np.where(shaped & (resolved | ~dip), low, low - slack)
     peak = resolved & reach & concave3 & (a[6] >= 0.0) & (b[6] < 0.0)
@@ -351,10 +404,11 @@ def _refine(c):
     return the owners and point tables of the candidates: the node ends,
     then the refined dips, edges and P3 maxima.
 
-    The node ends are one kernel call, and each level of bisecting those
-    ``_classify`` leaves unresolved one more.  A node whose cell has used its
-    budget, or whose slack is below eps, stops: its minorant enters the
-    bound.  A solve starts at the regula-falsi point of the end values:
+    ``_cut`` evaluated the node ends, and each level of bisecting those
+    ``_classify`` leaves unresolved is one kernel call.  A node whose cell
+    has used its budget, or whose slack is below eps, stops: its minorant
+    enters the bound.  A solve starts at the regula-falsi point of the end
+    values:
 
     - r' = 0 where r' goes from - to + in a convex node;
     - r = threshold where feasibility changes across a node with no dip,
@@ -366,9 +420,7 @@ def _refine(c):
     smallest r at an end or the dip.  A node's result has the same bits
     alone or in any batch, so a sweep cell equals ``find_t0``.
     """
-    own = c.node_own
-    ends = _ends(c.q[:, own][:, None], np.stack((c.node_lo, c.node_hi)))
-    a, b = ends[:, 0], ends[:, 1]
+    own, a, b = c.node_own, c.node_a, c.node_b
     used = np.zeros(c.budget.size)
     nodes = []
     while True:
@@ -471,9 +523,10 @@ def _solve(kind, lo, hi, q, start=None):
 
 
 def _row(params, thresholds, t_max):
-    """The results of one row of points, point by point and, within a
-    point, threshold by threshold: one point table lives at a time, and the
-    nodes of all the row's cells are refined together."""
+    """The results of one sweep part of points, point by point and, within
+    a point, threshold by threshold: the part's points are set up together,
+    one point table lives at a time, and the nodes of all the part's cells
+    are refined together."""
     c = _cells(params, t_max, thresholds)
     return _select(c, *_refine(c), thresholds, t_max)
 
@@ -535,9 +588,10 @@ def sweep(g_range, gprime_range, steps, threshold_exponents, t_max=DEFAULT_T_MAX
 
     ``steps`` is an int (same count per axis) or a pair of ints, and each
     range a pair (low, high).  Each result equals find_t0 at its threshold.
-    The points of a row are refined together, up to _ROW_CELLS at a time
-    (see ``_row``), and ``progress(done)`` is called once per point after
-    its row part.  Grids over MAX_CELLS cell results are rejected.
+    The grid is flattened row-major and run in parts of _ROW_CELLS points,
+    which may split and span rows (see ``_row``), and ``progress(done)`` is
+    called once per point after its part.  Grids over MAX_CELLS cell results
+    are rejected.
     """
     try:
         steps = tuple(map(operator.index, (steps, steps) if np.ndim(steps) == 0 else steps))
@@ -568,24 +622,24 @@ def sweep(g_range, gprime_range, steps, threshold_exponents, t_max=DEFAULT_T_MAX
     thresholds = [10.0 ** (-j) for j in exps]
     for threshold in thresholds:
         _check_threshold(threshold)
-    n = steps[0] * steps[1] * len(exps)
-    if n > MAX_CELLS:
-        raise ValueError(f"the sweep needs {n} cell results, more than {MAX_CELLS}: coarsen the grid")
+    total = steps[0] * steps[1]
+    if total * len(exps) > MAX_CELLS:
+        raise ValueError(f"the sweep needs {total * len(exps)} cell results, more than {MAX_CELLS}: coarsen the grid")
 
     g_values = np.linspace(g_range[0], g_range[1], steps[0])
     gprime_values = np.linspace(gprime_range[0], gprime_range[1], steps[1])
     # one list of results per exponent, row-major
     results = [[] for _ in exps]
-    for g in g_values:
-        for at in range(0, gprime_values.size, _ROW_CELLS):
-            row = [CouplingParams.symmetric(float(g), float(gp)) for gp in gprime_values[at:at + _ROW_CELLS]]
-            part = _row(row, thresholds, t_max)
-            for k, cells in enumerate(results):
-                cells += part[k::len(exps)]
-            if progress is not None:
-                for done in range(len(results[0]) - len(row) + 1, len(results[0]) + 1):
-                    progress(done)
-    starts = range(0, steps[0] * steps[1], steps[1])
+    for at in range(0, total, _ROW_CELLS):
+        i, k = np.divmod(np.arange(at, min(at + _ROW_CELLS, total)), steps[1])
+        part = _row([CouplingParams.symmetric(g, gp) for g, gp in zip(g_values[i].tolist(), gprime_values[k].tolist())],
+                    thresholds, t_max)
+        for j, cells in enumerate(results):
+            cells += part[j::len(exps)]
+        if progress is not None:
+            for done in range(at + 1, at + i.size + 1):
+                progress(done)
+    starts = range(0, total, steps[1])
     return [SweepGrid(g_values, gprime_values, int(j), tuple(tuple(cells[i:i + steps[1]]) for i in starts))
             for j, cells in zip(exps, results)]
 

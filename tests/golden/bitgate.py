@@ -14,8 +14,10 @@ differs.
 The set: ``find_t0`` at 1e-6, 1e-3 and 1e-1 on the 256 points of the
 benchmark's ``protocol`` population, on 200 ``default_rng(0)`` points of
 [0.05, 3]^2 and on the paper's three pairs; the 30x30 sweep at exponents
-(6, 1) and the 12x12 sweep at (6, 3, 1) over [0.05, 3]^2; and the 1x16
-sweep at (6, 1) over g = 0.6, g' in [0.5, 2].
+(6, 1) and the 12x12 sweep at (6, 3, 1) over [0.05, 3]^2; the 1x16 sweep
+at (6, 1) over g = 0.6, g' in [0.5, 2]; and the 3x70 sweep at (6, 1) and
+t_max 50 over [0.05, 3]^2, whose rows are longer than a sweep part, so that
+parts split rows and span them.
 """
 
 import subprocess
@@ -32,6 +34,7 @@ SWEEPS = (
     ((0.05, 3.0), (0.05, 3.0), 30, (6, 1)),
     ((0.05, 3.0), (0.05, 3.0), 12, (6, 3, 1)),
     ((0.6, 0.6), (0.5, 2.0), (1, 16), (6, 1)),
+    ((0.05, 3.0), (0.05, 3.0), (3, 70), (6, 1), 50.0),
 )
 
 

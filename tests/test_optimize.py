@@ -1,18 +1,24 @@
 import dataclasses
 import inspect
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import squidcavity.optimize as opt
-from squidcavity import _kernels
+from squidcavity import _kernels, dynamics
 from squidcavity.dynamics import amplitudes, evolve, probabilities, sector_modes
 from squidcavity.linalg import propagator_oracle
 from squidcavity.model import CouplingParams, build_h_full, dark_state_full
 from squidcavity.optimize import emit_fig4_traces, find_t0, sweep
 
 PAPER_PAIRS = ((0.25, 1.89), (2.95, 1.10), (0.60, 1.37))
+
+
+def _scan(p, t_max=200.0):
+    """The scan table of one point."""
+    return opt._scan(*opt._scan_setup(p, t_max), t_max)
 
 
 def test_stationary_infeasible_for_tight_threshold():
@@ -118,9 +124,13 @@ def test_validation():
     assert grids((np.int64(2), np.int32(3))) == grids((2, 3)) == grids(np.array([2, 3]))
 
 
-@pytest.mark.parametrize("coarse", [False, True], ids=("scan", "coarse-scan"))
-def test_sweep_single_cell_matches_find_t0(monkeypatch, coarse):
+@pytest.mark.parametrize("coarse,part", [(False, None), (True, None), (False, 4)],
+                         ids=("scan", "coarse-scan", "parts-of-4"))
+def test_sweep_single_cell_matches_find_t0(monkeypatch, coarse, part):
     exps = [6, 3, 1]
+    if part:
+        # parts of 4 over rows of 9 points: parts split rows and span them
+        monkeypatch.setattr(opt, "_ROW_CELLS", part)
     if coarse:
         split = []
         bisect = opt._bisect
@@ -167,8 +177,8 @@ def test_sweep_progress_and_order():
 
 
 def test_sweep_reports_each_row_part_after_refining_it(monkeypatch):
-    # progress fires once per point, and only after the whole row part that
-    # holds the point is refined: the gaps between callbacks then time rows
+    # progress fires once per point, and only after the whole part that
+    # holds the point is refined: the gaps between callbacks then time parts
     events = []
     row = opt._row
 
@@ -177,8 +187,10 @@ def test_sweep_reports_each_row_part_after_refining_it(monkeypatch):
         return row(*args)
 
     monkeypatch.setattr(opt, "_row", recorded)
+    # parts of 4 points over the flattened grid, the first spanning two rows
+    monkeypatch.setattr(opt, "_ROW_CELLS", 4)
     sweep((0.5, 1.0), (0.5, 1.0), (3, 2), [2, 4], t_max=30.0, progress=events.append)
-    assert events == ["row", 1, 2, "row", 3, 4, "row", 5, 6]
+    assert events == ["row", 1, 2, 3, 4, "row", 5, 6]
 
 
 def test_fig4_bundle():
@@ -333,7 +345,7 @@ def test_kernel_evaluations_per_find_t0(monkeypatch, g, gp, threshold):
 def test_scan_table_is_the_grid_evaluation(g, gp):
     p = CouplingParams.symmetric(g, gp)
     m, e, n = opt._scan_setup(p, 200.0)
-    pts = opt._scan(p, 200.0)[2]
+    pts = _scan(p)
     times = np.linspace(0.0, 200.0, n + 1)
     times[0] = opt._T_FLOOR
     probs = _kernels.grid_probs(m, e, 200.0, n + 1)
@@ -402,9 +414,10 @@ def _node_cells(cells, own, lo, hi, **fields):
     """A copy of ``cells`` in which node k, [lo[k], hi[k]], is the only node
     of cell k, a copy of cell ``own[k]``, with ``fields`` replaced."""
     per_cell = {f.name: getattr(cells, f.name)[..., own] for f in dataclasses.fields(cells)
-                if f.name not in ("params", "node_own", "node_lo", "node_hi")}
+                if f.name not in ("params", "node_own", "node_a", "node_b")}
     per_cell.update(fields)
-    return dataclasses.replace(cells, **per_cell, node_own=np.arange(own.size), node_lo=lo, node_hi=hi)
+    ends = opt._ends(cells.q[:, own][:, None], np.stack((lo, hi)))
+    return dataclasses.replace(cells, **per_cell, node_own=np.arange(own.size), node_a=ends[:, 0], node_b=ends[:, 1])
 
 
 def _by_node(own, cand, k):
@@ -419,15 +432,58 @@ def _turns(x):
     return turn[:-1] | turn[1:]
 
 
+def _point_setup(p, t_max):
+    """One point's set-up, computed alone with Python scalars where the
+    stacked set-up uses arrays: modes, n, derivative weights and bounds."""
+    b = np.array([[np.sqrt(2.0) * p.g, p.g_prime], [p.omega1, 0.0]])
+    u, e, vt = np.linalg.svd(b)
+    c = u.T @ (dynamics._F_VECTORS[[0, 2]] @ dark_state_full(p)).real
+    m = np.array([u * c, vt.T * c])
+    curvature = opt._step_curvature(p)
+    n = max(1, math.ceil(t_max * math.sqrt(curvature / (8.0 * opt.SCAN_SLACK))))
+    d = _kernels.derivative_weights(m, e)
+    (c, s), (c3, s3) = np.abs(d).sum(axis=2).tolist(), (np.abs(d[:, 4:]) * e).sum(axis=2).tolist()
+    cube = 8.0 * float(e[0]) ** 3
+    bounds = (
+        min(curvature, 2.0 * (s[2] * s[2] + c[0] * c[4] + c[2] * c[2] + s[0] * s[4])),
+        min(cube, 2.0 * (3.0 * (s[2] * c[4] + c[2] * s[4]) + c[0] * c3[0] + s[0] * s3[0])),
+        min(curvature, 2.0 * (s[3] * s[3] + c[1] * c[5])),
+        min(cube, 2.0 * (3.0 * s[3] * c[5] + c[1] * c3[1])),
+    )
+    return m, e, n, d, np.array(bounds)
+
+
+@pytest.mark.parametrize("t_max", [20.0, 200.0])
+def test_stacked_setup_equals_the_point_setup(t_max):
+    # bit for bit, at g = 0, g' = 0, E1 = E3 and tiny g too; the cube 8 E1^3
+    # is C pow, which numpy's e ** 3 is not at the last two points, where
+    # the cube is M or M3
+    points = (*_BATCH_POINTS, (0.0, 0.0), (1e-3, 1.2), (1e-6, 2.0), (1e-8, 1.0),
+              (0.081699, 0.927456), (0.125093, 1.803387))
+    params = [CouplingParams.symmetric(g, gp) for g, gp in points]
+    m, e, n, d, bounds = opt._setup(params, t_max)
+    for i, p in enumerate(params):
+        ref = _point_setup(p, t_max)
+        assert int(n[i]) == ref[2]
+        for got, want in zip((m[i], e[i], d[i], bounds[:, i]), ref[:2] + ref[3:]):
+            assert got.tobytes() == want.tobytes()
+        assert [x.tobytes() for x in sector_modes(p)] == [ref[0].tobytes(), ref[1].tobytes()]
+
+
 def test_bracket_evaluation_is_independent_of_batch_size(monkeypatch):
     thresholds = [1e-6, 1e-1]
     params = [CouplingParams.symmetric(g, gp) for g, gp in _BATCH_POINTS]
     cells = opt._cells(params, 200.0, thresholds)
+    # the node ends, evaluated per point with its modes broadcast, have the
+    # bits of an evaluation with the modes of each node gathered
+    ends = opt._ends(cells.q[:, cells.node_own][:, None], np.stack((cells.node_a[0], cells.node_b[0])))
+    assert ends[:, 0].tobytes() == cells.node_a.tobytes() and ends[:, 1].tobytes() == cells.node_b.tobytes()
+
     # the scan intervals where r or P3 turns or r crosses a threshold, as
     # (cell, lo, hi); cell 2 i + j is threshold j of point i
     pool = []
     for i, p in enumerate(params):
-        times, r, p3 = opt._scan(p, 200.0)[2][:3]
+        times, r, p3 = _scan(p)[:3]
         for j, threshold in enumerate(thresholds):
             at = np.flatnonzero(_turns(r) | _turns(p3) | ((r[:-1] <= threshold) != (r[1:] <= threshold)))
             pool.append((2 * i + j, times[at], times[at + 1]))
@@ -469,10 +525,10 @@ def test_pruned_dips_refine_above_threshold_and_best_sample(threshold):
         p = CouplingParams.symmetric(g, gp)
         cells = opt._cells([p], 200.0, [threshold])
         res = find_t0(p, threshold)
-        times, r, p3 = opt._scan(p, 200.0)[2][:3]
+        times, r, p3 = _scan(p)[:3]
         h = 200.0 / (times.size - 1)
-        kept = np.isin(times[:-1], cells.node_lo)
-        assert kept.sum() == cells.node_lo.size
+        kept = np.isin(times[:-1], cells.node_a[0])
+        assert kept.sum() == cells.node_a.shape[1]
         # each interval left out is left out by one rule: its minorant of r
         # clears the level, its P3 samples lie below the floor, or it follows
         # a sample tied with the winner
@@ -535,6 +591,34 @@ def test_p3_pruning_changes_no_result(monkeypatch):
     assert 0 < 5 * few <= many
 
 
+# g' near Omega = 1 with tiny g: E1 ~ E3 and a3's weights cancel, so P3
+# stays below 1e-10 up to t = 20 while the bounds on its derivatives are O(1)
+_FLAT_POINTS = ((1e-8, 1.0), (1e-7, 1.05))
+
+
+def test_cells_whose_p3_all_tie_are_not_bisected(monkeypatch):
+    keys = [(g, gp, threshold) for g, gp in _FLAT_POINTS for threshold in (1e-6, 1e-1)]
+    assert opt._cells([CouplingParams.symmetric(g, gp) for g, gp in _FLAT_POINTS], 20.0, [1e-6, 1e-1]).flat.all()
+    split = []
+    bisect = opt._bisect
+    monkeypatch.setattr(opt, "_bisect", lambda c, own, a, b: split.append(own.size) or bisect(c, own, a, b))
+    res = [find_t0(CouplingParams.symmetric(g, gp), threshold, t_max=20.0) for g, gp, threshold in keys]
+    assert not split
+    # without the rule the P3 sign tests fail on every node, which is then
+    # bisected; with 1000 times the budget the results tie, and the rule's
+    # edge solves find the earliest feasible time, where bisection stops
+    # within its slack of it
+    monkeypatch.setattr(opt, "_p3_flat", lambda *args: False)
+    monkeypatch.setattr(opt, "SPLIT_BUDGET", 1000 * opt.SPLIT_BUDGET)
+    for (g, gp, threshold), a in zip(keys, res):
+        b = find_t0(CouplingParams.symmetric(g, gp), threshold, t_max=20.0)
+        assert a.feasible and b.feasible
+        assert abs(a.p3 - b.p3) <= opt.P3_TIE_TOL
+        assert -4 * opt._X_TOL * max(1.0, b.t0) <= b.t0 - a.t0 <= 1e-6
+
+    assert split
+
+
 def test_infeasible_results_carry_a_bound_above_their_threshold():
     infeasible = 0
     for g, gp in _PRUNED_POINTS:
@@ -566,7 +650,7 @@ def test_edge_cases_give_finite_scans_and_valid_bounds(g, gp, amplitude_rows):
     p = CouplingParams.symmetric(g, gp)
     m, e, n = opt._scan_setup(p, 200.0)
     assert 1 <= n <= 200.0 * np.sqrt(opt._step_curvature(p) / (8.0 * opt.SCAN_SLACK)) + 1
-    assert np.isfinite(opt._scan(p, 200.0)[2]).all()
+    assert np.isfinite(_scan(p)).all()
     times = np.linspace(0.0, 200.0, 400_001)[1:]
     p1, p2 = amplitude_rows(m, e, times)[0][:2] ** 2
     for threshold in (1e-6, 1e-1):
@@ -580,7 +664,7 @@ def test_flat_curvature_bound_still_scans_two_samples(monkeypatch):
     monkeypatch.setattr(opt, "_step_curvature", lambda p: 0.0)
     p = CouplingParams.symmetric(1.0, 0.0)
     assert opt._scan_setup(p, 200.0)[2] == 1
-    assert opt._scan(p, 200.0)[2].shape == (4, 2)
+    assert _scan(p).shape == (4, 2)
     res = find_t0(p, 1e-6)
     assert not res.feasible
     assert res.p1p2 == pytest.approx(1.0 / 3.0, abs=1e-12)
