@@ -125,7 +125,7 @@ def _setup(params, t_max):
     """The set-up of the points ``params``: modes ``m`` and ``e`` (see
     ``part_modes``) and ``derivative_weights`` ``d``, stacked on the first
     axis, scan lengths ``n`` (n intervals of h = t_max / n <=
-    sqrt(8 SCAN_SLACK / L), at least one) and the (4, P)
+    sqrt(8 SCAN_SLACK / L), at least one) and the (5, P)
     ``_derivative_bounds``.  Rejects a phase E1*t_max that double precision
     cannot resolve and a scan longer than MAX_SAMPLES."""
     m, e = part_modes(params)
@@ -134,14 +134,7 @@ def _setup(params, t_max):
     n = [max(1, math.ceil(t_max * math.sqrt(c / (8.0 * SCAN_SLACK)))) for c in curvature]
     if max(n) > MAX_SAMPLES:
         raise ValueError(f"the scan needs {max(n)} samples, more than {MAX_SAMPLES}: lower t_max")
-    d = _kernels.derivative_weights(m, e)
-    return m, e, n, d, _derivative_bounds(d, e, curvature)
-
-
-def _scan_setup(p, t_max):
-    """Modes and scan length of one point: a one-point ``_setup``."""
-    m, e, n = _setup([p], t_max)[:3]
-    return m[0], e[0], n[0]
+    return m, e, n, _kernels.derivative_weights(m, e), _derivative_bounds(m, e, curvature, t_max)
 
 
 def _scan(m, e, n, t_max):
@@ -157,35 +150,47 @@ def _scan(m, e, n, t_max):
     return pts
 
 
-def _derivative_bounds(d, e, curvature):
-    """Bounds (L, M, L3, M3) on |r''|, |r'''|, |P3''|, |P3'''| at every t, the
-    rows of a (4, P) array, from the ``derivative_weights`` ``d`` and
-    frequencies ``e`` of P points stacked on the first axis and their
-    curvatures.  The weight sums are stacked; the few products of each
-    point's sums are cheaper as Python floats.
+def _derivative_bounds(m, e, curvature, t_max):
+    """Bounds (L, M, L3, M3, A3) on |r''|, |r'''|, |P3''|, |P3'''| and |a3|
+    at every t in (0, t_max], the rows of a (5, P) array, from the modes
+    ``m``, ``e`` of P points stacked on the first axis and their curvatures.
+    The weight sums are stacked; the few products of each point's sums are
+    cheaper as Python floats.
 
     r'' = 2 (a1'^2 + a1 a1'' + a2'^2 + a2 a2''), r''' = 2 (3 (a1' a1'' +
-    a2' a2'') + a1 a1''' + a2 a2'''), and P3 = a3^2 likewise, where a row's
-    sum_j |w_kj| E_j^i bounds its derivative i.  The sector state is a unit
-    vector with frequencies up to E1, so the second-order bounds are also at
-    most 4 E1^2 <= ``curvature`` and the third-order ones at most 8 E1^3.
+    a2' a2'') + a1 a1''' + a2 a2'''), and P3 = a3^2 likewise, where the sum
+    S_i = sum_j |w_j| E_j^i of a row's weights bounds its derivative i.
+    a3's derivative i has a second bound, its beat form: with a3 = w1 cos
+    E1 t + w3 cos E3 t and w_j the weight smaller in size, a3 = (w1 + w3)
+    cos E_k t + w_j (cos E_j t - cos E_k t), and E^i cos(E t) changes by at
+    most i E1^(i-1) + E1^i t_max per unit of E, so |a3^(i)| <= |w1 + w3|
+    E1^i + |w_j| (E1 - E3) (i E1^(i-1) + E1^i t_max), the tight one where
+    the weights cancel and E1 ~ E3.  The sector state is a unit vector with
+    frequencies up to E1, so the second-order bounds are also at most 4 E1^2
+    <= ``curvature`` and the third-order ones at most 8 E1^3.
     """
 
-    def bounds(cs, cs3, e1, curvature):
-        (c, s), (c3, s3) = cs, cs3
+    def bounds(s, w, e, curvature):
+        (a1, a3), (a2, _) = s
+        (w1, w3), (e1, e3) = w, e
+        gap = min(abs(w1), abs(w3)) * (e1 - e3)
+        a3 = [min(x, abs(w1 + w3) * e1 ** i + gap * ((i * e1 ** (i - 1) if i else 0.0) + e1 ** i * t_max))
+              for i, x in enumerate(a3)]
         # Python's float ** is C pow; numpy's cube differs from it in the last bit
         cube = 8.0 * e1 ** 3
         return (
-            min(curvature, 2.0 * (s[2] * s[2] + c[0] * c[4] + c[2] * c[2] + s[0] * s[4])),
-            min(cube, 2.0 * (3.0 * (s[2] * c[4] + c[2] * s[4]) + c[0] * c3[0] + s[0] * s3[0])),
-            min(curvature, 2.0 * (s[3] * s[3] + c[1] * c[5])),
-            min(cube, 2.0 * (3.0 * s[3] * c[5] + c[1] * c3[1])),
+            min(curvature, 2.0 * (a1[1] * a1[1] + a1[0] * a1[2] + a2[1] * a2[1] + a2[0] * a2[2])),
+            min(cube, 2.0 * (3.0 * (a1[1] * a1[2] + a2[1] * a2[2]) + a1[0] * a1[3] + a2[0] * a2[3])),
+            min(curvature, 2.0 * (a3[1] * a3[1] + a3[0] * a3[2])),
+            min(cube, 2.0 * (3.0 * a3[1] * a3[2] + a3[0] * a3[3])),
+            a3[0],
         )
 
-    # the sums of the third derivatives: of a1, a3 and of a2, a4
-    third = (np.abs(d[:, :, 4:]) * e[:, None, None]).sum(axis=-1)
-    return np.array([bounds(*x) for x in zip(np.abs(d).sum(axis=-1).tolist(), third.tolist(), e[:, 0].tolist(),
-                                             curvature)]).T
+    # S_0..S_3 of the rows [[a1, a3], [a2, a4]], with the bits of the sums of
+    # |derivative_weights|: |m E| = |m| E exactly
+    w, f, f2 = np.abs(m), e[:, None, None], (e * e)[:, None, None]
+    sums = np.stack((w, w * f, w * f2, w * f2 * f), axis=-1).sum(axis=-2)
+    return np.array([bounds(*x) for x in zip(sums.tolist(), m[:, 0, 1].tolist(), e.tolist(), curvature)]).T
 
 
 def _p3_floor(p3, curvature3, h, eps):
@@ -202,23 +207,6 @@ def _p3_floor(p3, curvature3, h, eps):
     return p3 - P3_TIE_TOL - curvature3 * h * h / 8.0 - 3.0 * eps
 
 
-def _p3_flat(w, e, t_max, eps):
-    """Whether every P3 of a point over (0, t_max] lies within P3_TIE_TOL of
-    every other, so that all its feasible candidates tie, from a3's weights
-    ``w`` and the frequencies ``e`` and the error eps of a computed P3.
-
-    With a3 = w1 cos E1 t + w3 cos E3 t (``m[0, 1]``) and w_j the weight
-    smaller in size, a3 = (w1 + w3) cos E_k t + w_j (cos E_j t - cos E_k t),
-    and |cos x - cos y| <= |x - y|, so |a3| <= |w1 + w3| + |w_j| (E1 - E3)
-    t_max, and also |a3| <= |w1| + |w3|: the first bound is the tight one
-    where the weights cancel and E1 ~ E3.  A computed P3 lies in [0, cap +
-    eps], and one more eps covers the rounding of cap.
-    """
-    (w1, w3), (e1, e3) = w, e
-    beat = abs(w1 + w3) + min(abs(w1), abs(w3)) * (e1 - e3) * t_max
-    return min(abs(w1) + abs(w3), beat) ** 2 + 2.0 * eps <= P3_TIE_TOL
-
-
 @dataclass
 class _Cells:
     """What refinement and selection read of a part's scans, as arrays over
@@ -226,13 +214,13 @@ class _Cells:
     and node k, with end tables ``node_a[:, k]`` and ``node_b[:, k]`` (rows
     of ``_ends``), belongs to cell ``node_own[k]``.
     Per cell (the last axis): ``q`` holds its point's ``derivative_weights``
-    and frequencies and its threshold (see ``_solve``), ``bounds`` the
-    ``_derivative_bounds``, ``best`` the point's sample of smallest r,
+    and frequencies and its threshold (see ``_solve``), ``bounds`` its
+    point's ``_derivative_bounds``, whose A3 says whether all its P3 tie
+    (see ``_classify``), ``best`` the point's sample of smallest r,
     ``eps`` the error of a computed r, ``level`` the threshold plus eps, or
     ``best`` less eps where that is larger, and ``floor`` the P3 floor (-inf
-    without a feasible sample).  ``flat`` says whether all its feasible P3
-    tie (see ``_p3_flat``), ``bound`` bounds r from below outside the nodes,
-    and ``budget`` counts the midpoints bisection may evaluate.
+    without a feasible sample).  ``bound`` bounds r from below outside the
+    nodes, and ``budget`` counts the midpoints bisection may evaluate.
     """
 
     params: list
@@ -243,7 +231,6 @@ class _Cells:
     eps: np.ndarray
     level: np.ndarray
     floor: np.ndarray
-    flat: np.ndarray
     bound: np.ndarray
     budget: np.ndarray
     node_own: np.ndarray
@@ -312,7 +299,6 @@ def _cells(params, t_max, thresholds):
         _cut(_scan(m[i], e[i], n[i], t_max), q[i, :, None, None], thr, *x)
         for i, x in enumerate(zip(h, slack, bounds[2].tolist(), eps))
     ))
-    flat = [_p3_flat(w, f, t_max, x) for w, f, x in zip(m[:, 0, 1].tolist(), e.tolist(), eps)]
 
     def cells(x):
         """Per-point columns of x (an array or a list), one for each cell."""
@@ -322,7 +308,7 @@ def _cells(params, t_max, thresholds):
     own, a, b = zip(*nodes)
     return _Cells(
         list(params), threshold, np.concatenate((cells(q.T), threshold[None])),
-        cells(bounds), best, cells(eps), level, np.concatenate(floor), cells(flat),
+        cells(bounds), best, cells(eps), level, np.concatenate(floor),
         # every minorant is at least best - slack; where no sample is
         # feasible, that of an interval left out is above the level
         np.where(best[1] <= threshold, best[1] - cells(slack), level), SPLIT_BUDGET * cells(n),
@@ -356,13 +342,15 @@ def _classify(c, own, a, b):
     and one maximum of P3.  A node is resolved when r is proven monotone,
     convex, concave with an infeasible end, or feasible throughout by its
     majorant, and, where its minorant reaches the threshold (plus eps), P3
-    is proven monotone or of one curvature sign, or all the cell's feasible
-    P3 tie (``c.flat``): with |f''| <= L, |f'''| <= M and w = b - a,
-    2 f'(t) >= f'(a) + f'(b) - L w and 2 f''(t) >= f''(a) + f''(b) - M w on
-    [a, b].  The bound is the smaller end where r's shape is proven (a
-    resolved dip is refined), the minorant elsewhere."""
+    is proven monotone or of one curvature sign, or all the cell's P3 tie:
+    with |f''| <= L, |f'''| <= M and w = b - a, 2 f'(t) >= f'(a) + f'(b) -
+    L w and 2 f''(t) >= f''(a) + f''(b) - M w on [a, b], and a computed P3
+    lies in [0, A3^2 + eps], so all P3 tie where A3^2 + 2 eps <= P3_TIE_TOL
+    (one more eps covers the rounding of A3^2).  The bound is the smaller
+    end where r's shape is proven (a resolved dip is refined), the minorant
+    elsewhere."""
     thr = c.threshold[own]
-    lip, cub, lip3, cub3 = c.bounds[:, own]
+    lip, cub, lip3, cub3, amp3 = c.bounds[:, own]
     w = b[0] - a[0]
 
     def shape(row, lip, cub):
@@ -379,7 +367,7 @@ def _classify(c, own, a, b):
     resolved |= np.maximum(a[1], b[1]) + slack <= thr
     mono3, convex3, concave3 = shape(6, lip3, cub3)
     reach = low - slack <= thr + c.eps[own]
-    resolved &= mono3 | convex3 | concave3 | ~reach | c.flat[own]
+    resolved &= mono3 | convex3 | concave3 | ~reach | (amp3 * amp3 + 2.0 * c.eps[own] <= P3_TIE_TOL)
     dip = convex & (a[4] <= 0.0) & (b[4] > 0.0)
     low = np.where(shaped & (resolved | ~dip), low, low - slack)
     peak = resolved & reach & concave3 & (a[6] >= 0.0) & (b[6] < 0.0)
@@ -468,7 +456,7 @@ def _refine(c):
     )
 
 
-def _solve(kind, lo, hi, q, start=None):
+def _solve(kind, lo, hi, q, start):
     """The point table at one root of equation ``kind`` per bracket [lo, hi]
     with f(lo) <= 0 < f(hi), by bracketed Newton (rtsafe), one kernel call
     per iteration over all open brackets; column j of ``q`` is bracket j's
@@ -479,9 +467,9 @@ def _solve(kind, lo, hi, q, start=None):
     A Newton step leaving the bracket, or not halving the previous step,
     bisects instead (one landing on an end is kept).  A step below the
     tolerance 1e-12 max(1, t) is pushed that far past the root and ends the
-    solve.  Newton starts at ``start``, by default the midpoint.  The result
-    is the last point evaluated with f <= 0, so an edge is feasible under
-    the same closed form, and depends on its bracket alone.
+    solve.  Newton starts at ``start``.  The result is the last point
+    evaluated with f <= 0, so an edge is feasible under the same closed
+    form, and depends on its bracket alone.
     """
 
     def equation(q, t):
@@ -489,7 +477,7 @@ def _solve(kind, lo, hi, q, start=None):
         f, df = (v[4], v[5]) if kind == _DIP else (v[1] - q[26], v[4]) if kind == _EDGE else (-v[6], -v[7])
         return f, df, v[:4]
 
-    x = 0.5 * (lo + hi) if start is None else start
+    x = start
     f, df, pts = equation(q[:, None], np.array((lo, x)))
     out = pts[:, 0].copy()
     idx, a, b, step = np.arange(lo.size), lo, hi, np.abs(hi - lo)
@@ -608,7 +596,7 @@ def sweep(g_range, gprime_range, steps, threshold_exponents, t_max=DEFAULT_T_MAX
     _check_t_max(t_max)
     # the step's curvature bound never decreases as g or g' grows, so the
     # corner has the longest scan of the grid
-    _scan_setup(CouplingParams.symmetric(g_range[1], gprime_range[1]), t_max)
+    _setup([CouplingParams.symmetric(g_range[1], gprime_range[1])], t_max)
     exps = list(threshold_exponents)
     try:
         # nan fails j >= 1, and int() of an infinite exponent overflows

@@ -7,17 +7,20 @@ exports REF with ``git archive`` into a temporary directory, computes the
 set once per tree, each in its own Python process that imports that tree's
 ``src/squidcavity``, and compares the raw bytes of ``feasible``, ``t0``,
 ``p1p2``, ``p3``, ``p4`` and ``p1p2_bound`` of every result.  It prints the
-number of results and of differing ones, the first differences and a
-summary of how far they moved (see ``summary``), and exits 1 if any result
-differs.
+number of results and of differing ones, the first differences, and per
+part of the set its counts and a summary of how far its results moved (see
+``summary``), and exits 1 if any result differs.
 
-The set: ``find_t0`` at 1e-6, 1e-3 and 1e-1 on the 256 points of the
-benchmark's ``protocol`` population, on 200 ``default_rng(0)`` points of
-[0.05, 3]^2 and on the paper's three pairs; the 30x30 sweep at exponents
-(6, 1) and the 12x12 sweep at (6, 3, 1) over [0.05, 3]^2; the 1x16 sweep
-at (6, 1) over g = 0.6, g' in [0.5, 2]; and the 3x70 sweep at (6, 1) and
-t_max 50 over [0.05, 3]^2, whose rows are longer than a sweep part, so that
-parts split rows and span them.
+The set has two parts.  "wide": ``find_t0`` at 1e-6, 1e-3 and 1e-1 on the
+256 points of the benchmark's ``protocol`` population, on 200
+``default_rng(0)`` points of [0.05, 3]^2 and on the paper's three pairs;
+the 30x30 sweep at exponents (6, 1) and the 12x12 sweep at (6, 3, 1) over
+[0.05, 3]^2; the 1x16 sweep at (6, 1) over g = 0.6, g' in [0.5, 2]; and
+the 3x70 sweep at (6, 1) and t_max 50 over [0.05, 3]^2, whose rows are
+longer than a sweep part, so that parts split rows and span them.
+"resonance": ``find_t0`` at 1e-6 and 1e-1 with t_max 20 on 100
+``default_rng(1)`` points with g = 10^U(-8, -3) and g' = U(0.9, 1.1),
+near g' = Omega, where E1 ~ E3 and P3 is tiny.
 """
 
 import subprocess
@@ -48,9 +51,17 @@ def points():
     return [tuple(map(float, pt)) for pt in (*r2_points(256, (0.5, 0.5)), *rng, *PAPER_PAIRS)]
 
 
+def resonance_points():
+    """The points near g' = Omega: g = 10^U(-8, -3), g' = U(0.9, 1.1)."""
+    rng = np.random.default_rng(1)
+    g = 10.0 ** rng.uniform(-8.0, -3.0, 100)
+    return list(zip(g.tolist(), rng.uniform(0.9, 1.1, 100).tolist()))
+
+
 def results():
-    """Labels and an (n, 6) float array of the result set, from the
-    ``squidcavity`` that is imported."""
+    """Labels, the part of the set each result belongs to and an (n, 6)
+    float array of the result set, from the ``squidcavity`` that is
+    imported."""
     from squidcavity.model import CouplingParams
     from squidcavity.optimize import find_t0, sweep
 
@@ -65,7 +76,13 @@ def results():
                 for k, gp in enumerate(grid.gprime_values.tolist()):
                     labels.append(f"sweep{args} cell ({g!r}, {gp!r}) at 1e-{grid.threshold_exponent}")
                     rows.append(grid.cells[i][k])
-    return labels, np.array([[getattr(res, f) for f in FIELDS] for res in rows], dtype=float)
+    parts = ["wide"] * len(rows)
+    for g, gp in resonance_points():
+        for threshold in (1e-6, 1e-1):
+            labels.append(f"find_t0({g!r}, {gp!r}, {threshold:g}, t_max=20)")
+            rows.append(find_t0(CouplingParams.symmetric(g, gp), threshold, t_max=20.0))
+    parts += ["resonance"] * (len(rows) - len(parts))
+    return labels, parts, np.array([[getattr(res, f) for f in FIELDS] for res in rows], dtype=float)
 
 
 def compare(labels, ref, new, limit=10):
@@ -104,7 +121,7 @@ def run(tree, out):
     its labels and rows to ``out`` (an .npz file)."""
     code = (
         "import sys; sys.path[:0] = sys.argv[1:3]; import numpy as np, bitgate;"
-        "labels, rows = bitgate.results(); np.savez(sys.argv[3], labels=labels, rows=rows)"
+        "labels, parts, rows = bitgate.results(); np.savez(sys.argv[3], labels=labels, parts=parts, rows=rows)"
     )
     subprocess.run([sys.executable, "-c", code, str(Path(tree) / "src"), str(Path(__file__).parent), str(out)],
                    check=True)
@@ -122,12 +139,16 @@ def main(argv):
         run(tmp / "ref", tmp / "ref.npz")
         run(ROOT, tmp / "new.npz")
         ref, new = np.load(tmp / "ref.npz"), np.load(tmp / "new.npz")
-        labels, ref, new = new["labels"].tolist(), ref["rows"], new["rows"]
+        labels, parts, ref, new = new["labels"].tolist(), new["parts"], ref["rows"], new["rows"]
     lines, differing = compare(labels, ref, new)
     sys.path.insert(0, str(ROOT / "src"))
     from squidcavity.optimize import P3_TIE_TOL
 
-    print(f"{len(labels)} results, {differing} differing", *lines, *summary(ref, new, P3_TIE_TOL), sep="\n")
+    print(f"{len(labels)} results, {differing} differing", *lines, sep="\n")
+    for part in dict.fromkeys(parts.tolist()):
+        at = parts == part
+        print(f"{part}: {int(at.sum())} results, {compare(labels, ref[at], new[at])[1]} differing",
+              *summary(ref[at], new[at], P3_TIE_TOL), sep="\n  ")
     return 1 if differing else 0
 
 

@@ -16,9 +16,15 @@ from squidcavity.optimize import emit_fig4_traces, find_t0, sweep
 PAPER_PAIRS = ((0.25, 1.89), (2.95, 1.10), (0.60, 1.37))
 
 
+def _setup(p, t_max=200.0):
+    """The modes and scan length of one point."""
+    m, e, n = opt._setup([p], t_max)[:3]
+    return m[0], e[0], n[0]
+
+
 def _scan(p, t_max=200.0):
     """The scan table of one point."""
-    return opt._scan(*opt._scan_setup(p, t_max), t_max)
+    return opt._scan(*_setup(p, t_max), t_max)
 
 
 def test_stationary_infeasible_for_tight_threshold():
@@ -258,7 +264,7 @@ def test_find_t0_beats_brute_force_on_a_finer_grid(monkeypatch, g, gp, amplitude
     dips = []
     solve = opt._solve
 
-    def recorded(kind, lo, hi, q, start=None):
+    def recorded(kind, lo, hi, q, start):
         out = solve(kind, lo, hi, q, start)
         if kind == opt._DIP:
             dips.append((lo, hi, out[1]))
@@ -344,7 +350,7 @@ def test_kernel_evaluations_per_find_t0(monkeypatch, g, gp, threshold):
 @pytest.mark.parametrize("g,gp", [(0.6, 1.37), (2.95, 1.10), (0.7, 0.0)])
 def test_scan_table_is_the_grid_evaluation(g, gp):
     p = CouplingParams.symmetric(g, gp)
-    m, e, n = opt._scan_setup(p, 200.0)
+    m, e, n = _setup(p)
     pts = _scan(p)
     times = np.linspace(0.0, 200.0, n + 1)
     times[0] = opt._T_FLOOR
@@ -355,10 +361,10 @@ def test_scan_table_is_the_grid_evaluation(g, gp):
 
 
 @pytest.mark.parametrize("threshold", [1e-6, 1e-1])
-@pytest.mark.parametrize("g,gp", [(0.6, 1.37), (2.95, 1.10), (1e-6, 2.0)])
+@pytest.mark.parametrize("g,gp", [(0.6, 1.37), (2.95, 1.10), (1e-6, 2.0), (1e-8, 1.0)])
 def test_find_t0_peak_memory_is_bounded_by_the_point_table(g, gp, threshold):
     p = CouplingParams.symmetric(g, gp)
-    table = 32 * (opt._scan_setup(p, 200.0)[2] + 1)  # 4 float64 rows of n + 1 samples
+    table = 32 * (_setup(p)[2] + 1)  # 4 float64 rows of n + 1 samples
     tracemalloc.start()
     try:
         find_t0(p, threshold)
@@ -370,7 +376,7 @@ def test_find_t0_peak_memory_is_bounded_by_the_point_table(g, gp, threshold):
 
 def test_sweep_peak_memory_is_bounded_by_one_point_table():
     # g' = 2 has the longest scan of the row
-    table = 32 * (opt._scan_setup(CouplingParams.symmetric(0.6, 2.0), 200.0)[2] + 1)
+    table = 32 * (_setup(CouplingParams.symmetric(0.6, 2.0))[2] + 1)
     tracemalloc.start()
     try:
         sweep((0.6, 0.6), (0.5, 2.0), (1, 16), [6, 1], t_max=200.0)
@@ -382,6 +388,20 @@ def test_sweep_peak_memory_is_bounded_by_one_point_table():
     # scan, which the 16 tables of the row held at once would still exceed
     assert 16 * table > 2 * 32 * 40_001
     assert peak <= 2 * 32 * 40_001
+
+
+def test_sweep_near_resonance_peak_memory_is_bounded_by_its_tables():
+    # g' ~ Omega with tiny g, where a3's weights cancel: the beat form of a3
+    # keeps the P3 floor tight, so each cell keeps few nodes
+    table = 32 * (_setup(CouplingParams.symmetric(5e-7, 1.001))[2] + 1)
+    tracemalloc.start()
+    try:
+        sweep((1e-7, 5e-7), (0.999, 1.001), 8, [6, 1], t_max=200.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two tables of the grid's longest scan per point
+    assert peak <= 2 * 64 * table
 
 
 def test_sweep_memory_does_not_grow_with_row_length():
@@ -441,16 +461,33 @@ def _point_setup(p, t_max):
     m = np.array([u * c, vt.T * c])
     curvature = opt._step_curvature(p)
     n = max(1, math.ceil(t_max * math.sqrt(curvature / (8.0 * opt.SCAN_SLACK))))
-    d = _kernels.derivative_weights(m, e)
-    (c, s), (c3, s3) = np.abs(d).sum(axis=2).tolist(), (np.abs(d[:, 4:]) * e).sum(axis=2).tolist()
-    cube = 8.0 * float(e[0]) ** 3
-    bounds = (
-        min(curvature, 2.0 * (s[2] * s[2] + c[0] * c[4] + c[2] * c[2] + s[0] * s[4])),
-        min(cube, 2.0 * (3.0 * (s[2] * c[4] + c[2] * s[4]) + c[0] * c3[0] + s[0] * s3[0])),
-        min(curvature, 2.0 * (s[3] * s[3] + c[1] * c[5])),
-        min(cube, 2.0 * (3.0 * s[3] * c[5] + c[1] * c3[1])),
+    e1, e3 = e.tolist()
+
+    def sums(w):
+        """sum_j |w_j| E_j^i for i = 0..3, with E^3 as E^2 E."""
+        terms = [(abs(x), abs(x) * f, abs(x) * (f * f), abs(x) * (f * f) * f) for x, f in zip(w, (e1, e3))]
+        return [x + y for x, y in zip(*terms)]
+
+    a1, a3, a2 = (sums(w) for w in (m[0, 0].tolist(), m[0, 1].tolist(), m[1, 0].tolist()))
+    # a3's beat form, order by order
+    w1, w3 = m[0, 1].tolist()
+    gap = min(abs(w1), abs(w3)) * (e1 - e3)
+    beat = (
+        abs(w1 + w3) + gap * t_max,
+        abs(w1 + w3) * e1 + gap * (1.0 + e1 * t_max),
+        abs(w1 + w3) * e1 ** 2 + gap * (2.0 * e1 + e1 ** 2 * t_max),
+        abs(w1 + w3) * e1 ** 3 + gap * (3.0 * e1 ** 2 + e1 ** 3 * t_max),
     )
-    return m, e, n, d, np.array(bounds)
+    a3 = [min(x, y) for x, y in zip(a3, beat)]
+    cube = 8.0 * e1 ** 3
+    bounds = (
+        min(curvature, 2.0 * (a1[1] * a1[1] + a1[0] * a1[2] + a2[1] * a2[1] + a2[0] * a2[2])),
+        min(cube, 2.0 * (3.0 * (a1[1] * a1[2] + a2[1] * a2[2]) + a1[0] * a1[3] + a2[0] * a2[3])),
+        min(curvature, 2.0 * (a3[1] * a3[1] + a3[0] * a3[2])),
+        min(cube, 2.0 * (3.0 * a3[1] * a3[2] + a3[0] * a3[3])),
+        a3[0],
+    )
+    return m, e, n, _kernels.derivative_weights(m, e), np.array(bounds)
 
 
 @pytest.mark.parametrize("t_max", [20.0, 200.0])
@@ -565,7 +602,7 @@ def test_p3_pruning_changes_no_result(monkeypatch):
     solve = opt._solve
     brackets = [0]
 
-    def counted(kind, lo, hi, q, start=None):
+    def counted(kind, lo, hi, q, start):
         brackets[0] += lo.size
         return solve(kind, lo, hi, q, start)
 
@@ -592,23 +629,32 @@ def test_p3_pruning_changes_no_result(monkeypatch):
 
 
 # g' near Omega = 1 with tiny g: E1 ~ E3 and a3's weights cancel, so P3
-# stays below 1e-10 up to t = 20 while the bounds on its derivatives are O(1)
+# stays below 1e-10 up to t = 20, where the beat form of a3 bounds it
 _FLAT_POINTS = ((1e-8, 1.0), (1e-7, 1.05))
 
 
 def test_cells_whose_p3_all_tie_are_not_bisected(monkeypatch):
     keys = [(g, gp, threshold) for g, gp in _FLAT_POINTS for threshold in (1e-6, 1e-1)]
-    assert opt._cells([CouplingParams.symmetric(g, gp) for g, gp in _FLAT_POINTS], 20.0, [1e-6, 1e-1]).flat.all()
+    cells = opt._cells([CouplingParams.symmetric(g, gp) for g, gp in _FLAT_POINTS], 20.0, [1e-6, 1e-1])
+    # the bound A3 on |a3| puts every P3 within the tie band
+    assert np.all(cells.bounds[4] ** 2 + 2.0 * cells.eps <= opt.P3_TIE_TOL)
     split = []
     bisect = opt._bisect
     monkeypatch.setattr(opt, "_bisect", lambda c, own, a, b: split.append(own.size) or bisect(c, own, a, b))
     res = [find_t0(CouplingParams.symmetric(g, gp), threshold, t_max=20.0) for g, gp, threshold in keys]
     assert not split
-    # without the rule the P3 sign tests fail on every node, which is then
-    # bisected; with 1000 times the budget the results tie, and the rule's
-    # edge solves find the earliest feasible time, where bisection stops
-    # within its slack of it
-    monkeypatch.setattr(opt, "_p3_flat", lambda *args: False)
+    # without the tie test the P3 sign tests, on values at rounding level,
+    # fail on nodes, which are then bisected; with 1000 times the budget the
+    # results tie, and the tie test's edge solves find the earliest feasible
+    # time, where bisection stops within its slack of it
+    derivative_bounds = opt._derivative_bounds
+
+    def untied(*args):
+        bounds = derivative_bounds(*args)
+        bounds[4] = np.inf
+        return bounds
+
+    monkeypatch.setattr(opt, "_derivative_bounds", untied)
     monkeypatch.setattr(opt, "SPLIT_BUDGET", 1000 * opt.SPLIT_BUDGET)
     for (g, gp, threshold), a in zip(keys, res):
         b = find_t0(CouplingParams.symmetric(g, gp), threshold, t_max=20.0)
@@ -617,6 +663,27 @@ def test_cells_whose_p3_all_tie_are_not_bisected(monkeypatch):
         assert -4 * opt._X_TOL * max(1.0, b.t0) <= b.t0 - a.t0 <= 1e-6
 
     assert split
+
+
+# g' near Omega, where P3 rises above the tie band while a3's weights
+# nearly cancel
+_BEAT_POINTS = ((2.21924e-06, 1.01095), (2.677168e-06, 0.984526), (3.587587e-06, 0.999433),
+                (6.947946e-06, 1.000701), (3.8566009e-05, 0.996903))
+
+
+def test_results_near_resonance_do_not_depend_on_the_split_budget(monkeypatch):
+    # the P3 sign tests resolve every node with the beat form of a3's
+    # derivatives, so no result is decided by where bisection stops
+    fields = ("feasible", "t0", "p1p2", "p3", "p4", "p1p2_bound")
+
+    def run():
+        return [np.array([getattr(find_t0(CouplingParams.symmetric(g, gp), threshold, t_max=20.0), f)
+                          for f in fields], dtype=float).tobytes()
+                for g, gp in _BEAT_POINTS for threshold in (1e-6, 1e-1)]
+
+    ref = run()
+    monkeypatch.setattr(opt, "SPLIT_BUDGET", 1000 * opt.SPLIT_BUDGET)
+    assert run() == ref
 
 
 def test_infeasible_results_carry_a_bound_above_their_threshold():
@@ -648,7 +715,7 @@ def test_known_red_pair_is_proven_infeasible():
                          ids=("g=0", "g'=0", "g'=0-one-value", "E1=E3", "g=g'=0"))
 def test_edge_cases_give_finite_scans_and_valid_bounds(g, gp, amplitude_rows):
     p = CouplingParams.symmetric(g, gp)
-    m, e, n = opt._scan_setup(p, 200.0)
+    m, e, n = _setup(p)
     assert 1 <= n <= 200.0 * np.sqrt(opt._step_curvature(p) / (8.0 * opt.SCAN_SLACK)) + 1
     assert np.isfinite(_scan(p)).all()
     times = np.linspace(0.0, 200.0, 400_001)[1:]
@@ -663,7 +730,7 @@ def test_flat_curvature_bound_still_scans_two_samples(monkeypatch):
     # r is constant at g' = 0, so a zero curvature bound holds there
     monkeypatch.setattr(opt, "_step_curvature", lambda p: 0.0)
     p = CouplingParams.symmetric(1.0, 0.0)
-    assert opt._scan_setup(p, 200.0)[2] == 1
+    assert _setup(p)[2] == 1
     assert _scan(p).shape == (4, 2)
     res = find_t0(p, 1e-6)
     assert not res.feasible
@@ -683,8 +750,8 @@ def test_grid_corner_has_the_longest_scan(g_range, gp_range, steps):
     steps = (steps, steps) if np.ndim(steps) == 0 else steps
     g_values = np.linspace(g_range[0], g_range[1], steps[0])
     gp_values = np.linspace(gp_range[0], gp_range[1], steps[1])
-    corner = opt._scan_setup(CouplingParams.symmetric(g_range[1], gp_range[1]), 200.0)[2]
-    counts = [opt._scan_setup(CouplingParams.symmetric(float(g), float(gp)), 200.0)[2]
+    corner = _setup(CouplingParams.symmetric(g_range[1], gp_range[1]))[2]
+    counts = [_setup(CouplingParams.symmetric(float(g), float(gp)))[2]
               for g in g_values for gp in gp_values]
     assert max(counts) == corner
 
@@ -714,7 +781,8 @@ def test_bisection_finds_a_dip_the_scan_misses(monkeypatch):
 def test_a_feasible_midpoint_brackets_the_edges_on_both_sides(monkeypatch, amplitude_rows):
     p = CouplingParams.symmetric(0.6, 1.37)
     cells = opt._cells([p], 200.0, [1e-6])
-    t = opt._solve(opt._DIP, np.array([16.0]), np.array([16.2]), cells.q[:, [0]])[0, 0]
+    lo, hi = np.array([16.0]), np.array([16.2])
+    t = opt._solve(opt._DIP, lo, hi, cells.q[:, [0]], 0.5 * (lo + hi))[0, 0]
     # one node centred on the feasible minimum, both ends infeasible
     ends = np.array([t - 0.01, t + 0.01])
     p1, p2 = amplitude_rows(*sector_modes(p), ends)[0][:2] ** 2
@@ -722,7 +790,7 @@ def test_a_feasible_midpoint_brackets_the_edges_on_both_sides(monkeypatch, ampli
     solved = []
     solve = opt._solve
 
-    def recorded(kind, lo, hi, q, start=None):
+    def recorded(kind, lo, hi, q, start):
         out = solve(kind, lo, hi, q, start)
         solved.append((kind, lo, hi, out))
         return out
@@ -755,7 +823,7 @@ def test_an_infeasible_bump_between_feasible_ends_is_split(monkeypatch, amplitud
     edges = []
     solve = opt._solve
 
-    def recorded(kind, lo, hi, q, start=None):
+    def recorded(kind, lo, hi, q, start):
         out = solve(kind, lo, hi, q, start)
         if kind == opt._EDGE:
             edges.append(out)
@@ -777,7 +845,7 @@ def test_flat_series_keep_one_bracket_per_plateau(monkeypatch):
     # samples as nodes
     for g in (0.5, 1.0):
         p = CouplingParams.symmetric(g, 0.0)
-        n = opt._scan_setup(p, 200.0)[2] + 1
+        n = _setup(p)[2] + 1
         assert opt._cells([p], 200.0, thresholds).node_own.size <= 0.01 * n
     # g = 0: P3 is flat at 0, so it is convex everywhere and no maximum of P3
     # is solved
