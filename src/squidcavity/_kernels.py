@@ -51,8 +51,9 @@ def derivative_rows(m, e, t):
     basis = np.empty((2, 1) + ph.shape)
     np.cos(ph, out=basis[0, 0])
     np.sin(ph, out=basis[1, 0])
-    terms = m * basis
-    return terms[:, :, 0] + terms[:, :, 1]
+    rows = m[:, :, 0] * basis[:, :, 0]
+    rows += m[:, :, 1] * basis[:, :, 1]
+    return rows
 
 
 def grid_probs(m, e, t_end, n):

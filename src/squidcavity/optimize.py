@@ -46,7 +46,7 @@ MAX_CELLS = 2**16
 # Most points of a sweep part, which the flattened grid is cut into: a
 # part's points are set up and refined together, and the cap bounds the
 # nodes held
-_ROW_CELLS = 64
+_PART_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -212,7 +212,8 @@ class _Cells:
     """What refinement and selection read of a part's scans, as arrays over
     the cells: cell o = i K + j is threshold j of point i, for K thresholds,
     and node k, with end tables ``node_a[:, k]`` and ``node_b[:, k]`` (rows
-    of ``_ends``), belongs to cell ``node_own[k]``.
+    of ``_ends``, evaluated once, after the point's scan table is dropped),
+    belongs to cell ``node_own[k]``.
     Per cell (the last axis): ``q`` holds its point's ``derivative_weights``
     and frequencies and its threshold (see ``_solve``), ``bounds`` its
     point's ``_derivative_bounds``, whose A3 says whether all its P3 tie
@@ -238,20 +239,18 @@ class _Cells:
     node_b: np.ndarray
 
 
-def _cut(pts, q, thr, h, slack, lip3, eps):
+def _cut(pts, thr, h, slack, lip3, eps):
     """Cut one point's scan table ``pts`` (step ``h``, slack of r ``slack``,
     bound ``lip3`` on |P3''|, error of a computed r ``eps``) down to the
-    nodes of its cells at thresholds ``thr``, each pass for all of them,
-    before it is dropped, and evaluate the nodes' ends with the point's
-    modes ``q`` (see ``_solve``), broadcast.
+    nodes of its cells at thresholds ``thr``, each pass for all of them.
 
     An interval is a node when its minorant of r, the smaller sample less
     the slack, is at most the level and, where a sample is feasible, its
     larger P3 sample reaches the P3 floor of the largest feasible P3.  Any
     other interval holds no feasible time or residual below the level, or
     nothing that can win or tie; its minorant is at least best - slack, so
-    the cell's bound holds it.  The nodes come as threshold index and end
-    tables.
+    the cell's bound holds it.  The nodes come as threshold index and the
+    (2, N) times of their ends.
     """
     times, r, p3 = pts[0], pts[1], pts[2]
     # the first sample of smallest r
@@ -278,14 +277,14 @@ def _cut(pts, q, thr, h, slack, lip3, eps):
                 after = max(tied[0], 1)
                 keep[j, after:] &= high[after:] >= (floor[j] + P3_TIE_TOL if cap > P3_TIE_TOL else np.inf)
     own, at = np.divmod(np.flatnonzero(keep), times.size - 1)
-    ends = _ends(q, np.stack((times[at], times[at + 1])))
-    return best, level, floor, (own, ends[:, 0], ends[:, 1])
+    return best, level, floor, (own, np.stack((times[at], times[at + 1])))
 
 
 def _cells(params, t_max, thresholds):
     """Set the points up together (see ``_setup``), scan and cut them in turn
-    (see ``_cut``), one table at a time, and join what their cells read into
-    one ``_Cells`` for the part."""
+    (see ``_cut``), one table at a time, then evaluate each point's node ends
+    in one ``_ends`` call with its modes broadcast, with no table alive, and
+    join what their cells read into one ``_Cells`` for the part."""
     thr = np.array(thresholds, dtype=float)
     k = thr.size
     m, e, n, d, bounds = _setup(params, t_max)
@@ -296,16 +295,17 @@ def _cells(params, t_max, thresholds):
     # per point, the rows of q that _ends reads
     q = np.concatenate((d.reshape(len(params), 24), e), axis=1)
     best, level, floor, nodes = zip(*(
-        _cut(_scan(m[i], e[i], n[i], t_max), q[i, :, None, None], thr, *x)
+        _cut(_scan(m[i], e[i], n[i], t_max), thr, *x)
         for i, x in enumerate(zip(h, slack, bounds[2].tolist(), eps))
     ))
+    own, times = zip(*nodes)
+    a, b = zip(*(_ends(q[i, :, None, None], t).swapaxes(0, 1) for i, t in enumerate(times)))
 
     def cells(x):
         """Per-point columns of x (an array or a list), one for each cell."""
         return np.repeat(x, k, axis=-1)
 
     threshold, best, level = np.tile(thr, len(params)), cells(np.transpose(best)), np.concatenate(level)
-    own, a, b = zip(*nodes)
     return _Cells(
         list(params), threshold, np.concatenate((cells(q.T), threshold[None])),
         cells(bounds), best, cells(eps), level, np.concatenate(floor),
@@ -392,7 +392,7 @@ def _refine(c):
     return the owners and point tables of the candidates: the node ends,
     then the refined dips, edges and P3 maxima.
 
-    ``_cut`` evaluated the node ends, and each level of bisecting those
+    ``_cells`` evaluated the node ends, and each level of bisecting those
     ``_classify`` leaves unresolved is one kernel call.  A node whose cell
     has used its budget, or whose slack is below eps, stops: its minorant
     enters the bound.  A solve starts at the regula-falsi point of the end
@@ -430,26 +430,26 @@ def _refine(c):
     def solve(kind, at, lo, hi, f_lo, f_hi):
         if not at.size:
             return np.empty((4, 0))
-        return _solve(kind, lo, hi, c.q[:, at], lo + f_lo * (hi - lo) / (f_lo - f_hi))
+        return _solve(kind, lo, hi, c.q[:, at], lo[0] + f_lo * (hi - lo[0]) / (f_lo - f_hi))
 
-    dips = solve(_DIP, own[dip], a[0, dip], b[0, dip], a[4, dip], b[4, dip])
-    # (t, r) at the ends of the resolved nodes, each split at its dip, and
-    # at the feasible and infeasible end of those that hold an edge
+    dips = solve(_DIP, own[dip], a[:4, dip], b[0, dip], a[4, dip], b[4, dip])
+    # the point tables at the ends of the resolved nodes, each split at its
+    # dip, and at the feasible and infeasible end of those that hold an edge
     flat = resolved & ~dip
     edge_own = np.concatenate((own[flat], own[dip], own[dip]))
-    lo = np.concatenate((a[:2, flat], a[:2, dip], dips[:2]), axis=1)
-    hi = np.concatenate((b[:2, flat], dips[:2], b[:2, dip]), axis=1)
+    lo = np.concatenate((a[:4, flat], a[:4, dip], dips), axis=1)
+    hi = np.concatenate((b[:4, flat], dips, b[:4, dip]), axis=1)
     level = c.threshold[edge_own]
     feasible = lo[1] <= level
     cross = feasible != (hi[1] <= level)
     inside, outside = np.where(feasible, lo, hi)[:, cross], np.where(feasible, hi, lo)[:, cross]
     edge_own, level = edge_own[cross], level[cross]
-    edges = solve(_EDGE, edge_own, inside[0], outside[0], inside[1] - level, outside[1] - level)
+    edges = solve(_EDGE, edge_own, inside, outside[0], inside[1] - level, outside[1] - level)
     # a maximum of P3 counts where its node holds a feasible point
     hold = (a[1] <= thr) | (b[1] <= thr)
     hold[dip] |= dips[1] <= thr[dip]
     peak &= hold
-    maxima = solve(_P3MAX, own[peak], a[0, peak], b[0, peak], -a[6, peak], -b[6, peak])
+    maxima = solve(_P3MAX, own[peak], a[:4, peak], b[0, peak], -a[6, peak], -b[6, peak])
     return (
         np.concatenate((own, own, own[dip], edge_own, own[peak])),
         np.concatenate((a[:4], b[:4], dips, edges, maxima), axis=1),
@@ -457,19 +457,20 @@ def _refine(c):
 
 
 def _solve(kind, lo, hi, q, start):
-    """The point table at one root of equation ``kind`` per bracket [lo, hi]
-    with f(lo) <= 0 < f(hi), by bracketed Newton (rtsafe), one kernel call
+    """The point table at one root of equation ``kind`` per bracket [t, hi]
+    with f(t) <= 0 < f(hi), where ``lo`` holds the point tables (t, r, P3,
+    P4) of the f <= 0 ends, by bracketed Newton (rtsafe), one kernel call
     per iteration over all open brackets; column j of ``q`` is bracket j's
     ``derivative_weights``, frequencies and threshold.  f is r' for a dip,
-    r - threshold for an edge whose feasible end is ``lo``, -P3' for a
-    maximum of P3.
+    r - threshold for an edge, whose ``lo`` is its feasible end, -P3' for
+    a maximum of P3.
 
     A Newton step leaving the bracket, or not halving the previous step,
     bisects instead (one landing on an end is kept).  A step below the
     tolerance 1e-12 max(1, t) is pushed that far past the root and ends the
-    solve.  Newton starts at ``start``.  The result is the last point
-    evaluated with f <= 0, so an edge is feasible under the same closed
-    form, and depends on its bracket alone.
+    solve.  Newton starts at ``start``.  The result is ``lo`` or the last
+    point evaluated with f <= 0, so an edge is feasible under the same
+    closed form, and depends on its bracket alone.
     """
 
     def equation(q, t):
@@ -477,12 +478,10 @@ def _solve(kind, lo, hi, q, start):
         f, df = (v[4], v[5]) if kind == _DIP else (v[1] - q[26], v[4]) if kind == _EDGE else (-v[6], -v[7])
         return f, df, v[:4]
 
-    x = start
-    f, df, pts = equation(q[:, None], np.array((lo, x)))
-    out = pts[:, 0].copy()
-    idx, a, b, step = np.arange(lo.size), lo, hi, np.abs(hi - lo)
-    f, df, pts = f[1], df[1], pts[:, 1]
-    final = np.zeros(lo.size, dtype=bool)
+    x, out = start, lo.copy()
+    f, df, pts = equation(q, x)
+    idx, a, b, step = np.arange(x.size), lo[0], hi, np.abs(hi - lo[0])
+    final = np.zeros(x.size, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_MAX_ITER):
             neg = f <= 0.0
@@ -510,7 +509,7 @@ def _solve(kind, lo, hi, q, start):
     return out
 
 
-def _row(params, thresholds, t_max):
+def _part(params, thresholds, t_max):
     """The results of one sweep part of points, point by point and, within
     a point, threshold by threshold: the part's points are set up together,
     one point table lives at a time, and the nodes of all the part's cells
@@ -568,7 +567,7 @@ def find_t0(p, threshold, t_max=DEFAULT_T_MAX):
     """Best measurement time under the entanglement-condition threshold."""
     _check_threshold(threshold)
     _check_t_max(t_max)
-    return _row([p], [threshold], t_max)[0]
+    return _part([p], [threshold], t_max)[0]
 
 
 def sweep(g_range, gprime_range, steps, threshold_exponents, t_max=DEFAULT_T_MAX, progress=None):
@@ -576,8 +575,8 @@ def sweep(g_range, gprime_range, steps, threshold_exponents, t_max=DEFAULT_T_MAX
 
     ``steps`` is an int (same count per axis) or a pair of ints, and each
     range a pair (low, high).  Each result equals find_t0 at its threshold.
-    The grid is flattened row-major and run in parts of _ROW_CELLS points,
-    which may split and span rows (see ``_row``), and ``progress(done)`` is
+    The grid is flattened row-major and run in parts of _PART_POINTS points,
+    which may split and span rows (see ``_part``), and ``progress(done)`` is
     called once per point after its part.  Grids over MAX_CELLS cell results
     are rejected.
     """
@@ -618,10 +617,10 @@ def sweep(g_range, gprime_range, steps, threshold_exponents, t_max=DEFAULT_T_MAX
     gprime_values = np.linspace(gprime_range[0], gprime_range[1], steps[1])
     # one list of results per exponent, row-major
     results = [[] for _ in exps]
-    for at in range(0, total, _ROW_CELLS):
-        i, k = np.divmod(np.arange(at, min(at + _ROW_CELLS, total)), steps[1])
-        part = _row([CouplingParams.symmetric(g, gp) for g, gp in zip(g_values[i].tolist(), gprime_values[k].tolist())],
-                    thresholds, t_max)
+    for at in range(0, total, _PART_POINTS):
+        i, k = np.divmod(np.arange(at, min(at + _PART_POINTS, total)), steps[1])
+        part = _part([CouplingParams.symmetric(g, gp) for g, gp in zip(g_values[i].tolist(), gprime_values[k].tolist())],
+                     thresholds, t_max)
         for j, cells in enumerate(results):
             cells += part[j::len(exps)]
         if progress is not None:

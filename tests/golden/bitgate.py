@@ -11,7 +11,7 @@ number of results and of differing ones, the first differences, and per
 part of the set its counts and a summary of how far its results moved (see
 ``summary``), and exits 1 if any result differs.
 
-The set has two parts.  "wide": ``find_t0`` at 1e-6, 1e-3 and 1e-1 on the
+The set has three parts.  "wide": ``find_t0`` at 1e-6, 1e-3 and 1e-1 on the
 256 points of the benchmark's ``protocol`` population, on 200
 ``default_rng(0)`` points of [0.05, 3]^2 and on the paper's three pairs;
 the 30x30 sweep at exponents (6, 1) and the 12x12 sweep at (6, 3, 1) over
@@ -20,7 +20,9 @@ the 3x70 sweep at (6, 1) and t_max 50 over [0.05, 3]^2, whose rows are
 longer than a sweep part, so that parts split rows and span them.
 "resonance": ``find_t0`` at 1e-6 and 1e-1 with t_max 20 on 100
 ``default_rng(1)`` points with g = 10^U(-8, -3) and g' = U(0.9, 1.1),
-near g' = Omega, where E1 ~ E3 and P3 is tiny.
+near g' = Omega, where E1 ~ E3 and P3 is tiny.  "resonance-200": ``find_t0``
+at 1e-6 and 1e-1 with t_max 200 on four points near g' = Omega whose
+cells at 1e-6 keep over a hundred nodes each.
 """
 
 import subprocess
@@ -33,6 +35,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[2]
 FIELDS = ("feasible", "t0", "p1p2", "p3", "p4", "p1p2_bound")
 PAPER_PAIRS = ((0.25, 1.89), (2.95, 1.10), (0.60, 1.37))
+RESONANCE_200 = ((3e-7, 1.0), (1.44e-5, 1.087), (1.95e-4, 1.0658), (2.8e-4, 0.9961))
 SWEEPS = (
     ((0.05, 3.0), (0.05, 3.0), 30, (6, 1)),
     ((0.05, 3.0), (0.05, 3.0), 12, (6, 3, 1)),
@@ -77,11 +80,12 @@ def results():
                     labels.append(f"sweep{args} cell ({g!r}, {gp!r}) at 1e-{grid.threshold_exponent}")
                     rows.append(grid.cells[i][k])
     parts = ["wide"] * len(rows)
-    for g, gp in resonance_points():
-        for threshold in (1e-6, 1e-1):
-            labels.append(f"find_t0({g!r}, {gp!r}, {threshold:g}, t_max=20)")
-            rows.append(find_t0(CouplingParams.symmetric(g, gp), threshold, t_max=20.0))
-    parts += ["resonance"] * (len(rows) - len(parts))
+    for part, pts, t_max in (("resonance", resonance_points(), 20.0), ("resonance-200", RESONANCE_200, 200.0)):
+        for g, gp in pts:
+            for threshold in (1e-6, 1e-1):
+                labels.append(f"find_t0({g!r}, {gp!r}, {threshold:g}, t_max={t_max:g})")
+                rows.append(find_t0(CouplingParams.symmetric(g, gp), threshold, t_max=t_max))
+        parts += [part] * (len(rows) - len(parts))
     return labels, parts, np.array([[getattr(res, f) for f in FIELDS] for res in rows], dtype=float)
 
 

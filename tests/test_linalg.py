@@ -64,6 +64,15 @@ def test_dimension_limits():
         hermitian_eig(np.zeros((2, 3)))
 
 
+def test_eigensolver_failure_raises_convergence_error(monkeypatch):
+    def failing(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(ConvergenceError, match=r"dim 3\): Eigenvalues did not converge"):
+        hermitian_eig(np.eye(3))
+
+
 def test_eigensystem_invariants(rng, random_hermitian):
     for _ in range(100):
         n = int(rng.integers(1, 9))

@@ -136,7 +136,7 @@ def test_sweep_single_cell_matches_find_t0(monkeypatch, coarse, part):
     exps = [6, 3, 1]
     if part:
         # parts of 4 over rows of 9 points: parts split rows and span them
-        monkeypatch.setattr(opt, "_ROW_CELLS", part)
+        monkeypatch.setattr(opt, "_PART_POINTS", part)
     if coarse:
         split = []
         bisect = opt._bisect
@@ -182,21 +182,21 @@ def test_sweep_progress_and_order():
     assert [g.threshold_exponent for g in grids] == [2, 4]
 
 
-def test_sweep_reports_each_row_part_after_refining_it(monkeypatch):
+def test_sweep_reports_each_part_after_refining_it(monkeypatch):
     # progress fires once per point, and only after the whole part that
     # holds the point is refined: the gaps between callbacks then time parts
     events = []
-    row = opt._row
+    part = opt._part
 
     def recorded(*args):
-        events.append("row")
-        return row(*args)
+        events.append("part")
+        return part(*args)
 
-    monkeypatch.setattr(opt, "_row", recorded)
+    monkeypatch.setattr(opt, "_part", recorded)
     # parts of 4 points over the flattened grid, the first spanning two rows
-    monkeypatch.setattr(opt, "_ROW_CELLS", 4)
+    monkeypatch.setattr(opt, "_PART_POINTS", 4)
     sweep((0.5, 1.0), (0.5, 1.0), (3, 2), [2, 4], t_max=30.0, progress=events.append)
-    assert events == ["row", 1, 2, 3, 4, "row", 5, 6]
+    assert events == ["part", 1, 2, 3, 4, "part", 5, 6]
 
 
 def test_fig4_bundle():
@@ -281,7 +281,7 @@ def test_find_t0_beats_brute_force_on_a_finer_grid(monkeypatch, g, gp, amplitude
     m, e = sector_modes(p)
     eps = opt._R_ERROR * (1.0 + e[0] * 200.0)
     for lo, hi, low in dips:
-        times = np.linspace(lo, hi, 65)
+        times = np.linspace(lo[0], hi, 65)
         p1, p2 = amplitude_rows(m, e, times.ravel())[0][:2] ** 2
         assert np.all((p1 + p2).reshape(times.shape) >= low - eps)
 
@@ -361,7 +361,10 @@ def test_scan_table_is_the_grid_evaluation(g, gp):
 
 
 @pytest.mark.parametrize("threshold", [1e-6, 1e-1])
-@pytest.mark.parametrize("g,gp", [(0.6, 1.37), (2.95, 1.10), (1e-6, 2.0), (1e-8, 1.0)])
+@pytest.mark.parametrize("g,gp", [(0.6, 1.37), (2.95, 1.10), (1e-6, 2.0), (1e-8, 1.0),
+                                  # g' ~ Omega, where r dips below 2e-3 often and a
+                                  # cell at 1e-6 keeps over a hundred nodes
+                                  (3e-7, 1.0), (1.44e-5, 1.087), (1.95e-4, 1.0658), (2.8e-4, 0.9961)])
 def test_find_t0_peak_memory_is_bounded_by_the_point_table(g, gp, threshold):
     p = CouplingParams.symmetric(g, gp)
     table = 32 * (_setup(p)[2] + 1)  # 4 float64 rows of n + 1 samples
@@ -406,7 +409,7 @@ def test_sweep_near_resonance_peak_memory_is_bounded_by_its_tables():
 
 def test_sweep_memory_does_not_grow_with_row_length():
     working = []
-    for n in (opt._ROW_CELLS, 4 * opt._ROW_CELLS):
+    for n in (opt._PART_POINTS, 4 * opt._PART_POINTS):
         tracemalloc.start()
         try:
             grids = sweep((1.0, 1.0), (0.5, 1.0), (1, n), [6, 1], t_max=20.0)
@@ -416,7 +419,7 @@ def test_sweep_memory_does_not_grow_with_row_length():
         # the peak less what the results still hold
         working.append(peak - held)
         del grids
-    # one row part at a time; every cell's nodes held at once would not fit
+    # one part at a time; every cell's nodes held at once would not fit
     assert working[1] <= 1.5 * working[0]
 
 
@@ -603,7 +606,7 @@ def test_p3_pruning_changes_no_result(monkeypatch):
     brackets = [0]
 
     def counted(kind, lo, hi, q, start):
-        brackets[0] += lo.size
+        brackets[0] += hi.size
         return solve(kind, lo, hi, q, start)
 
     def run():
@@ -782,7 +785,7 @@ def test_a_feasible_midpoint_brackets_the_edges_on_both_sides(monkeypatch, ampli
     p = CouplingParams.symmetric(0.6, 1.37)
     cells = opt._cells([p], 200.0, [1e-6])
     lo, hi = np.array([16.0]), np.array([16.2])
-    t = opt._solve(opt._DIP, lo, hi, cells.q[:, [0]], 0.5 * (lo + hi))[0, 0]
+    t = opt._solve(opt._DIP, opt._ends(cells.q[:, [0]], lo)[:4], hi, cells.q[:, [0]], 0.5 * (lo + hi))[0, 0]
     # one node centred on the feasible minimum, both ends infeasible
     ends = np.array([t - 0.01, t + 0.01])
     p1, p2 = amplitude_rows(*sector_modes(p), ends)[0][:2] ** 2
@@ -800,9 +803,9 @@ def test_a_feasible_midpoint_brackets_the_edges_on_both_sides(monkeypatch, ampli
     own, cand = opt._refine(node)
     (kind, lo, hi, dip), (_, inside, outside, edges) = solved[:2]
     # the node is resolved as it is: its dip, then an edge on each side
-    assert kind == opt._DIP and lo.tolist() == [ends[0]] and hi.tolist() == [ends[1]]
+    assert kind == opt._DIP and lo[0].tolist() == [ends[0]] and hi.tolist() == [ends[1]]
     assert dip[1, 0] <= 1e-6 and abs(dip[0, 0] - t) <= 1e-9
-    assert inside.tolist() == [dip[0, 0]] * 2 and outside.tolist() == ends.tolist()
+    assert inside[0].tolist() == [dip[0, 0]] * 2 and outside.tolist() == ends.tolist()
     assert np.all(edges[1] <= 1e-6) and ends[0] < edges[0, 0] < t < edges[0, 1] < ends[1]
     assert np.all(np.isin(edges[0], cand[0]))
 
