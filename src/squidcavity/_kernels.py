@@ -7,7 +7,10 @@ series, so the real mode weights ``m`` have shape (2, 2, 2):
     [a1, a3] = m[0] @ cos(e t),   [a2, a4] = m[1] @ sin(e t),
 
 and F1 = a1, F2 = -i a2, F3 = a3, F4 = -i a4.  Every probability is the
-square of a real two-term series.
+square of a real two-term series.  The modes of several points stack on a
+leading axis: ``part_grid_probs`` sets up the grids of all of them in one
+pass and leaves each point only its matrix product, and ``grid_probs`` is
+its one-point case.
 """
 
 import math
@@ -56,30 +59,48 @@ def derivative_rows(m, e, t):
     return rows
 
 
-def grid_probs(m, e, t_end, n):
-    """P1..P4 as the rows of one (4, n) array at t_j = j h, h = t_end / (n - 1).
+def part_grid_probs(m, e, t_end, n):
+    """P1..P4 of P points, modes ``m``, ``e`` stacked on the first axis, each
+    on its grid of n[i] >= 2 times t_j = j h, h = t_end / (n[i] - 1): one
+    (4, n[i]) array per point, yielded in turn, with no reference kept to it.
 
     With j = q B + s and B = ceil(sqrt(n)), cos/sin are taken only at the
     phases e q B h and e s h.  Angle addition, cos(a + b) = cos a cos b -
     sin a sin b, turns them into one (4Q x 4) @ (4 x B) product written into
-    the result buffer, so a grid of n >= 2 points costs O(sqrt n)
-    trigonometric calls.
+    the point's buffer, so a grid of n points costs O(sqrt n) trigonometric
+    calls.  The phases, their cos/sin and the left factors of all the points
+    are computed together, padded to the largest Q and B; a point's own work
+    is its product and its square.
     """
-    h = t_end / (n - 1)
-    b = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
-    q = -(-n // b)
-    ph = np.multiply.outer(e, np.arange(q) * (b * h)).T
-    cq, sq = np.cos(ph), np.sin(ph)
-    wc, ws = m[0, :, None], m[1, :, None]
-    # a1 = sum_i wc_i (cq_i cos(e_i s h) - sq_i sin(e_i s h)), a2 = sum_i ws_i (sq_i cos + cq_i sin)
-    left = np.empty((2, 2, q, 4))  # rows a1, a2, a3, a4
-    np.multiply(wc, cq, out=left[:, 0, :, :2])
-    np.multiply(wc, -sq, out=left[:, 0, :, 2:])
-    np.multiply(ws, sq, out=left[:, 1, :, :2])
-    np.multiply(ws, cq, out=left[:, 1, :, 2:])
-    ph = np.multiply.outer(e, np.arange(b) * h)
-    out = np.empty((4, q * b))
-    right = np.concatenate((np.cos(ph), np.sin(ph)))
-    np.matmul(left.reshape(4 * q, 4), right, out=out.reshape(4 * q, b))
-    out *= out
-    return out[:, :n]
+    h = [t_end / (count - 1) for count in n]
+    b = [math.isqrt(count - 1) + 1 for count in n]  # ceil(sqrt(n)), at least q
+    q = [-(-count // x) for count, x in zip(n, b)]
+    nq, nb = max(q), max(b)
+    # trig[i, k, 0] and trig[i, k, 1] hold cos and sin of point i's phases
+    # e q B h (k = 0) and e s h (k = 1), the sine taken in place of the phase
+    trig = np.empty((len(n), 2, 2, 2, nb))
+    steps = np.arange(nb) * np.array([[x * y for x, y in zip(b, h)], h]).T[:, :, None]
+    np.multiply(e[:, None, :, None], steps[:, :, None], out=trig[:, :, 1])
+    np.cos(trig[:, :, 1], out=trig[:, :, 0])
+    np.sin(trig[:, :, 1], out=trig[:, :, 1])
+    # a1 = sum_j wc_j (cq_j cos(e_j s h) - sq_j sin(e_j s h)), a2 = sum_j ws_j (sq_j cos + cq_j sin),
+    # so the left factor's rows a1, a2, a3, a4 (r, then cosine or sine series) are
+    # [wc cq, -wc sq] and [ws sq, ws cq], built with the step q last and transposed per point
+    left = np.empty((len(n), 2, 2, 2, 2, nq))
+    np.multiply(m[:, 0, :, None, :, None], trig[:, None, 0, :, :, :nq], out=left[:, :, 0])
+    np.negative(left[:, :, 0, 1], out=left[:, :, 0, 1])
+    np.multiply(m[:, 1, :, None, :, None], trig[:, None, 0, ::-1, :, :nq], out=left[:, :, 1])
+    for i, (count, x, y) in enumerate(zip(n, q, b)):
+        out = np.empty((4, x * y))
+        np.matmul(left[i, ..., :x].transpose(0, 1, 4, 2, 3).reshape(4 * x, 4),
+                  np.ascontiguousarray(trig[i, 1, ..., :y].reshape(4, y)), out=out.reshape(4 * x, y))
+        out *= out
+        yield out[:, :count]
+        # the buffer is dropped before the next one is allocated
+        del out
+
+
+def grid_probs(m, e, t_end, n):
+    """P1..P4 as the rows of one (4, n) array at t_j = j h, h = t_end / (n - 1):
+    a one-point ``part_grid_probs``."""
+    return next(part_grid_probs(m[None], e[None], t_end, [n]))

@@ -15,6 +15,7 @@ are arrays whose nodes carry their cell.  Every result carries
 a proven lower bound on min r over (0, t_max].
 """
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -138,16 +139,29 @@ def _setup(params, t_max):
 
 
 def _scan(m, e, n, t_max):
-    """Deterministic scan of n intervals over [_T_FLOOR, t_max] with modes
-    ``m``, ``e``: a point table with rows t, r = P1 + P2, P3, P4."""
+    """Deterministic scans of a part's points, with modes ``m``, ``e``
+    stacked on the first axis: point i's table, rows t, r = P1 + P2, P3, P4
+    over n[i] intervals of [_T_FLOOR, t_max], yielded in turn (see
+    ``_kernels.part_grid_probs``), with no reference kept to it."""
     # rows P1..P4 become t, r, P3, P4 in place; the times are those of
-    # np.linspace(0, t_max, n + 1), computed as it computes them
-    pts = _kernels.grid_probs(m, e, t_max, n + 1)
-    pts[1] += pts[0]
-    np.multiply(np.arange(n + 1.0), t_max / n, out=pts[0])
-    pts[0, n] = t_max
-    pts[0, 0] = min(_T_FLOOR, pts[0, 1])
-    return pts
+    # np.linspace(0, t_max, n + 1), computed as it computes them, each from
+    # the part's one row of steps
+    steps = np.arange(max(n) + 1.0)
+    grids = _kernels.part_grid_probs(m, e, t_max, [count + 1 for count in n])
+    for i, count in enumerate(n):
+        pts = next(grids)
+        pts[1] += pts[0]
+        np.multiply(steps[:count + 1], t_max / count, out=pts[0])
+        pts[0, count] = t_max
+        pts[0, 0] = min(_T_FLOOR, pts[0, 1])
+        if i == len(n) - 1:
+            # the last cut runs with neither the steps nor the part's scan
+            # factors, so find_t0's one point holds only its table
+            del steps
+            grids.close()
+        yield pts
+        # the table is dropped before the next one is allocated
+        del pts
 
 
 def _derivative_bounds(m, e, curvature, t_max):
@@ -212,7 +226,7 @@ class _Cells:
     """What refinement and selection read of a part's scans, as arrays over
     the cells: cell o = i K + j is threshold j of point i, for K thresholds,
     and node k, with end tables ``node_a[:, k]`` and ``node_b[:, k]`` (rows
-    of ``_ends``, evaluated once, after the point's scan table is dropped),
+    of ``_ends``, evaluated once, after the part's scan tables are dropped),
     belongs to cell ``node_own[k]``.
     Per cell (the last axis): ``q`` holds its point's ``derivative_weights``
     and frequencies and its threshold (see ``_solve``), ``bounds`` its
@@ -282,9 +296,10 @@ def _cut(pts, thr, h, slack, lip3, eps):
 
 def _cells(params, t_max, thresholds):
     """Set the points up together (see ``_setup``), scan and cut them in turn
-    (see ``_cut``), one table at a time, then evaluate each point's node ends
-    in one ``_ends`` call with its modes broadcast, with no table alive, and
-    join what their cells read into one ``_Cells`` for the part."""
+    (see ``_scan`` and ``_cut``), one table at a time, then evaluate the
+    node ends of the whole part in one ``_ends`` call with each node's modes
+    gathered, with no table alive, and join what the cells read into one
+    ``_Cells``."""
     thr = np.array(thresholds, dtype=float)
     k = thr.size
     m, e, n, d, bounds = _setup(params, t_max)
@@ -292,34 +307,36 @@ def _cells(params, t_max, thresholds):
     h = [t_max / count for count in n]
     slack = [lip * x * x / 8.0 for lip, x in zip(bounds[0].tolist(), h)]
     eps = [_R_ERROR * (1.0 + x * t_max) for x in e[:, 0].tolist()]
-    # per point, the rows of q that _ends reads
-    q = np.concatenate((d.reshape(len(params), 24), e), axis=1)
-    best, level, floor, nodes = zip(*(
-        _cut(_scan(m[i], e[i], n[i], t_max), thr, *x)
-        for i, x in enumerate(zip(h, slack, bounds[2].tolist(), eps))
-    ))
+    # map keeps no table once _cut returns, so one table lives at a time
+    best, level, floor, nodes = zip(*map(
+        _cut, _scan(m, e, n, t_max), itertools.repeat(thr), h, slack, bounds[2].tolist(), eps))
     own, times = zip(*nodes)
-    a, b = zip(*(_ends(q[i, :, None, None], t).swapaxes(0, 1) for i, t in enumerate(times)))
 
     def cells(x):
         """Per-point columns of x (an array or a list), one for each cell."""
         return np.repeat(x, k, axis=-1)
 
     threshold, best, level = np.tile(thr, len(params)), cells(np.transpose(best)), np.concatenate(level)
+    # per cell, the rows of q that _ends reads, then the threshold
+    q = np.concatenate((cells(np.concatenate((d.reshape(len(params), 24), e), axis=1).T), threshold[None]))
+    own = np.concatenate([j + i * k for i, j in enumerate(own)])
+    ends = _ends(q.take(own, axis=1)[:, None], np.concatenate(times, axis=1))
     return _Cells(
-        list(params), threshold, np.concatenate((cells(q.T), threshold[None])),
-        cells(bounds), best, cells(eps), level, np.concatenate(floor),
+        list(params), threshold, q, cells(bounds), best, cells(eps), level, np.concatenate(floor),
         # every minorant is at least best - slack; where no sample is
         # feasible, that of an interval left out is above the level
         np.where(best[1] <= threshold, best[1] - cells(slack), level), SPLIT_BUDGET * cells(n),
-        np.concatenate([j + i * k for i, j in enumerate(own)]), np.concatenate(a, axis=1), np.concatenate(b, axis=1),
+        own, ends[:, 0], ends[:, 1],
     )
 
 
 def _ends(q, t):
     """Rows t, r, P3, P4, r', r'', P3', P3'' at times ``t``, each with the
     modes of its column of ``q`` (see ``_solve``), from one elementwise
-    ``derivative_rows`` evaluation: the same bits in any batch."""
+    ``derivative_rows`` evaluation: the same bits in any batch.  Callers
+    gather the columns with ``take`` or ``compress``, which keep them
+    contiguous; a fancy index on axis 1 leaves them strided, and every
+    ufunc here runs slower on them."""
     cs = _kernels.derivative_rows(q[:24].reshape((2, 6, 2) + q.shape[1:]), q[24:26], t)
     # the amplitudes [[a1, a3], [a2, a4]] and their first two derivatives,
     # then a^2 and its derivatives 2 a a' and 2 (a'^2 + a a'')
@@ -377,7 +394,7 @@ def _classify(c, own, a, b):
 def _bisect(c, own, a, b):
     """Split nodes at their midpoints (one kernel call) and keep the halves
     whose minorant of r reaches their cell's level and P3 samples its floor."""
-    mid = _ends(c.q[:, own], 0.5 * (a[0] + b[0]))
+    mid = _ends(c.q.take(own, axis=1), 0.5 * (a[0] + b[0]))
     own = np.concatenate((own, own))
     a, b = np.concatenate((a, mid), axis=1), np.concatenate((mid, b), axis=1)
     w = b[0] - a[0]
@@ -430,7 +447,7 @@ def _refine(c):
     def solve(kind, at, lo, hi, f_lo, f_hi):
         if not at.size:
             return np.empty((4, 0))
-        return _solve(kind, lo, hi, c.q[:, at], lo[0] + f_lo * (hi - lo[0]) / (f_lo - f_hi))
+        return _solve(kind, lo, hi, c.q.take(at, axis=1), lo[0] + f_lo * (hi - lo[0]) / (f_lo - f_hi))
 
     dips = solve(_DIP, own[dip], a[:4, dip], b[0, dip], a[4, dip], b[4, dip])
     # the point tables at the ends of the resolved nodes, each split at its
@@ -493,7 +510,7 @@ def _solve(kind, lo, hi, q, start):
                 break
             if not go.all():
                 idx, a, b, x, step, f, df, tol = (v[go] for v in (idx, a, b, x, step, f, df, tol))
-                q = q[:, go]
+                q = q.compress(go, axis=1)
             d = f / df
             c = 0.5 * (a + b)
             final = np.abs(d) <= tol

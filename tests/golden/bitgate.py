@@ -11,7 +11,7 @@ number of results and of differing ones, the first differences, and per
 part of the set its counts and a summary of how far its results moved (see
 ``summary``), and exits 1 if any result differs.
 
-The set has three parts.  "wide": ``find_t0`` at 1e-6, 1e-3 and 1e-1 on the
+The set has four parts.  "wide": ``find_t0`` at 1e-6, 1e-3 and 1e-1 on the
 256 points of the benchmark's ``protocol`` population, on 200
 ``default_rng(0)`` points of [0.05, 3]^2 and on the paper's three pairs;
 the 30x30 sweep at exponents (6, 1) and the 12x12 sweep at (6, 3, 1) over
@@ -22,7 +22,11 @@ longer than a sweep part, so that parts split rows and span them.
 ``default_rng(1)`` points with g = 10^U(-8, -3) and g' = U(0.9, 1.1),
 near g' = Omega, where E1 ~ E3 and P3 is tiny.  "resonance-200": ``find_t0``
 at 1e-6 and 1e-1 with t_max 200 on four points near g' = Omega whose
-cells at 1e-6 keep over a hundred nodes each.
+cells at 1e-6 keep over a hundred nodes each.  "ragged": the 9x9 sweeps at
+(6, 1) over [1e-3, 50]^2 at t_max 0.06 and at t_max 20, whose scans take 2
+to 84 and 318 to 27,389 samples, and over [1e-3, 1e4]^2 at t_max 0.06,
+whose parts mix scans of 2 and of over 10^4 samples, so that a part's
+stacked scan factors are padded far beyond some of its points.
 """
 
 import subprocess
@@ -41,6 +45,11 @@ SWEEPS = (
     ((0.05, 3.0), (0.05, 3.0), 12, (6, 3, 1)),
     ((0.6, 0.6), (0.5, 2.0), (1, 16), (6, 1)),
     ((0.05, 3.0), (0.05, 3.0), (3, 70), (6, 1), 50.0),
+)
+RAGGED_SWEEPS = (
+    ((1e-3, 50.0), (1e-3, 50.0), 9, (6, 1), 0.06),
+    ((1e-3, 50.0), (1e-3, 50.0), 9, (6, 1), 20.0),
+    ((1e-3, 1e4), (1e-3, 1e4), 9, (6, 1), 0.06),
 )
 
 
@@ -73,12 +82,16 @@ def results():
         for threshold in (1e-6, 1e-3, 1e-1):
             labels.append(f"find_t0({g!r}, {gp!r}, {threshold:g})")
             rows.append(find_t0(CouplingParams.symmetric(g, gp), threshold))
-    for args in SWEEPS:
-        for grid in sweep(*args):
-            for i, g in enumerate(grid.g_values.tolist()):
-                for k, gp in enumerate(grid.gprime_values.tolist()):
-                    labels.append(f"sweep{args} cell ({g!r}, {gp!r}) at 1e-{grid.threshold_exponent}")
-                    rows.append(grid.cells[i][k])
+
+    def sweeps(runs):
+        for args in runs:
+            for grid in sweep(*args):
+                for i, g in enumerate(grid.g_values.tolist()):
+                    for k, gp in enumerate(grid.gprime_values.tolist()):
+                        labels.append(f"sweep{args} cell ({g!r}, {gp!r}) at 1e-{grid.threshold_exponent}")
+                        rows.append(grid.cells[i][k])
+
+    sweeps(SWEEPS)
     parts = ["wide"] * len(rows)
     for part, pts, t_max in (("resonance", resonance_points(), 20.0), ("resonance-200", RESONANCE_200, 200.0)):
         for g, gp in pts:
@@ -86,6 +99,8 @@ def results():
                 labels.append(f"find_t0({g!r}, {gp!r}, {threshold:g}, t_max={t_max:g})")
                 rows.append(find_t0(CouplingParams.symmetric(g, gp), threshold, t_max=t_max))
         parts += [part] * (len(rows) - len(parts))
+    sweeps(RAGGED_SWEEPS)
+    parts += ["ragged"] * (len(rows) - len(parts))
     return labels, parts, np.array([[getattr(res, f) for f in FIELDS] for res in rows], dtype=float)
 
 

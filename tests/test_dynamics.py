@@ -7,6 +7,7 @@ from squidcavity.dynamics import (
     amplitudes,
     antisymmetric_leakage,
     evolve,
+    part_modes,
     probabilities,
     sector_modes,
     trace,
@@ -249,6 +250,22 @@ def test_grid_probs_match_mode_amplitudes(p, n):
     probs = _kernels.grid_probs(m, e, 200.0, n)
     assert probs.shape == (4, n)
     assert np.max(np.abs(probs - np.array([a1, a2, a3, a4]) ** 2)) <= 1e-12
+
+
+def test_part_grids_equal_the_point_grids():
+    # one part of grids from 2 to over 10^4 samples, the stacked factors
+    # padded to its largest Q and B; 16 and 10^4 are perfect squares
+    n = [2, 3, 16, 10_000, 10_001, 17, 2, 12_345, 101]
+    params = [CouplingParams.symmetric(g, gp) for g, gp in
+              ((0.6, 1.37), (0.0, 1.3), (0.7, 0.0), (2.95, 1.1), (1e-6, 2.0), (0.25, 1.89), (3.0, 3.0),
+               (1e-3, 1e-3), (1.5, 0.7))]
+    m, e = part_modes(params)
+    tables = list(_kernels.part_grid_probs(m, e, 200.0, n))
+    assert len(tables) == len(n)
+    for i, count in enumerate(n):
+        alone = _kernels.grid_probs(m[i], e[i], 200.0, count)
+        assert tables[i].shape == (4, count)
+        assert tables[i].tobytes() == alone.tobytes()
 
 
 def test_unresolvable_times_and_oversized_grids_are_rejected(forbid_large_grids):

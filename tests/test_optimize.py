@@ -23,8 +23,9 @@ def _setup(p, t_max=200.0):
 
 
 def _scan(p, t_max=200.0):
-    """The scan table of one point."""
-    return opt._scan(*_setup(p, t_max), t_max)
+    """The scan table of one point, a one-point part."""
+    m, e, n = opt._setup([p], t_max)[:3]
+    return next(opt._scan(m, e, n, t_max))
 
 
 def test_stationary_infeasible_for_tight_threshold():
@@ -510,14 +511,48 @@ def test_stacked_setup_equals_the_point_setup(t_max):
         assert [x.tobytes() for x in sector_modes(p)] == [ref[0].tobytes(), ref[1].tobytes()]
 
 
+# at t_max 0.06 their scans run from 2 samples (g, g' ~ 0) to 16,433
+# (g = g' = 1e4), 4 a perfect square (g = g' = 1.2)
+_RAGGED_POINTS = ((1e-3, 1e-3), (1e-3, 0.5), (1.2, 1.2), (0.6, 1.37), (3.0, 2.0), (50.0, 50.0),
+                  (1e4, 1e4), (0.3, 1e4), (2e3, 7.0))
+
+
+def test_part_scans_equal_the_point_scans():
+    params = [CouplingParams.symmetric(g, gp) for g, gp in _RAGGED_POINTS]
+    m, e, n = opt._setup(params, 0.06)[:3]
+    assert min(n) == 1 and max(n) >= 10_000 and 3 in n
+    tables = list(opt._scan(m, e, n, 0.06))
+    assert len(tables) == len(params)
+    for p, pts in zip(params, tables):
+        assert pts.tobytes() == _scan(p, 0.06).tobytes()
+
+
+def test_part_node_ends_equal_the_point_node_ends():
+    thresholds = [1e-6, 1e-3, 1e-1]
+    k = len(thresholds)
+    params = [CouplingParams.symmetric(g, gp) for g, gp in _RAGGED_POINTS]
+    part = opt._cells(params, 0.06, thresholds)
+    assert np.unique(part.node_own // k).size >= 5
+    for i, p in enumerate(params):
+        alone = opt._cells([p], 0.06, thresholds)
+        at = part.node_own // k == i
+        assert np.array_equal(part.node_own[at] - i * k, alone.node_own)
+        assert part.node_a[:, at].tobytes() == alone.node_a.tobytes()
+        assert part.node_b[:, at].tobytes() == alone.node_b.tobytes()
+
+
 def test_bracket_evaluation_is_independent_of_batch_size(monkeypatch):
     thresholds = [1e-6, 1e-1]
     params = [CouplingParams.symmetric(g, gp) for g, gp in _BATCH_POINTS]
     cells = opt._cells(params, 200.0, thresholds)
-    # the node ends, evaluated per point with its modes broadcast, have the
-    # bits of an evaluation with the modes of each node gathered
-    ends = opt._ends(cells.q[:, cells.node_own][:, None], np.stack((cells.node_a[0], cells.node_b[0])))
-    assert ends[:, 0].tobytes() == cells.node_a.tobytes() and ends[:, 1].tobytes() == cells.node_b.tobytes()
+    # the node ends, evaluated over the part with the modes of each node
+    # gathered, have the bits of an evaluation per point with its modes
+    # broadcast
+    for i in range(len(params)):
+        at = cells.node_own // len(thresholds) == i
+        a, b = cells.node_a[:, at], cells.node_b[:, at]
+        ends = opt._ends(cells.q[:, len(thresholds) * i, None, None], np.stack((a[0], b[0])))
+        assert ends[:, 0].tobytes() == a.tobytes() and ends[:, 1].tobytes() == b.tobytes()
 
     # the scan intervals where r or P3 turns or r crosses a threshold, as
     # (cell, lo, hi); cell 2 i + j is threshold j of point i
